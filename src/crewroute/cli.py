@@ -61,12 +61,16 @@ def _parse_conn(value: str) -> tuple[int, int]:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="write the JSON report here instead of stdout")
+    p.add_argument("--limit-nodes", type=int, default=200_000,
+                   help="branch and bound node limit")
+
+
+def _add_pricing(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
     p.add_argument("--stats", action="store_true",
                    help="include wall-clock statistics (not reproducible)")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker threads for window pricing")
-    p.add_argument("--limit-nodes", type=int, default=200_000,
-                   help="branch and bound node limit")
     p.add_argument("--limit-paths", type=int, default=200_000,
                    help="path cap for the enumeration phase")
 
@@ -100,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("instance")
     c.add_argument("--kappa", type=_parse_kappa, default=None,
                    help="bound states per vertex, or 'auto'")
-    _add_common(c)
+    _add_pricing(c)
 
     i = sub.add_parser("integrated", help="pairing consistent with routing")
     i.add_argument("instance")
@@ -108,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--gamma", type=float, default=None,
                    help="cut depth in (0, 1]; 1 keeps the loop exact")
     i.add_argument("--iteration-limit", type=int, default=100)
-    _add_common(i)
+    _add_pricing(i)
 
     o = sub.add_parser("oracle", help="brute-force reference on small instances")
     o.add_argument("instance")

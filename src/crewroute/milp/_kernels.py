@@ -1,36 +1,13 @@
-"""Hot numeric kernels of the simplex: eta update and bounded ratio test.
-
-Each kernel has two implementations with identical arithmetic: a numba
-``@njit`` version and a pure-numpy version. The active pair is chosen at
-import time; set ``CREWROUTE_PURE_NUMPY=1`` to force the numpy path (the
-same fallback engages automatically when numba is not importable).
-``benchmarks/bench_kernels.py`` times both paths side by side.
-
-The two paths must produce bit-identical results, so no fastmath: the
-per-element operations are written in the same order in both versions.
-"""
+"""Hot numeric kernels of the simplex: eta update and bounded ratio test."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    import numba as nb
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    nb = None
-    NUMBA_AVAILABLE = False
-
-PURE_NUMPY = os.environ.get("CREWROUTE_PURE_NUMPY", "") == "1"
-USE_NUMBA = NUMBA_AVAILABLE and not PURE_NUMPY
 
 _TIE_SLACK = 1e-12
 
 
-def eta_update_numpy(binv: np.ndarray, w: np.ndarray, r: int) -> None:
+def eta_update(binv: np.ndarray, w: np.ndarray, r: int) -> None:
     """In-place product-form update of the basis inverse.
 
     ``w`` is the ftran result B^-1 A_j for the entering column and ``r`` the
@@ -43,21 +20,7 @@ def eta_update_numpy(binv: np.ndarray, w: np.ndarray, r: int) -> None:
     binv -= np.outer(scale, binv[r, :])
 
 
-def _eta_update_loops(binv, w, r):
-    m = binv.shape[0]
-    piv = w[r]
-    for j in range(m):
-        binv[r, j] /= piv
-    for i in range(m):
-        if i == r:
-            continue
-        wi = w[i]
-        if wi != 0.0:
-            for j in range(m):
-                binv[i, j] -= wi * binv[r, j]
-
-
-def ratio_test_numpy(
+def ratio_test(
     xb: np.ndarray,
     w: np.ndarray,
     ub: np.ndarray,
@@ -83,77 +46,3 @@ def ratio_test_numpy(
     row = int(tied[np.argmin(basis[tied])])
     kind = 0 if w[row] > 0.0 else 1
     return float(t_all[row]), row, kind
-
-
-def _ratio_test_loops(xb, w, ub, basis, tol_pivot):
-    m = xb.shape[0]
-    best = np.inf
-    for i in range(m):
-        if w[i] > tol_pivot:
-            xi = xb[i]
-            if xi < 0.0:
-                xi = 0.0
-            t = xi / w[i]
-        elif w[i] < -tol_pivot and np.isfinite(ub[i]):
-            gap = ub[i] - xb[i]
-            if gap < 0.0:
-                gap = 0.0
-            t = gap / (-w[i])
-        else:
-            continue
-        if t < best:
-            best = t
-    if not np.isfinite(best):
-        return np.inf, -1, 0
-    row = -1
-    best_var = -1
-    t_row = np.inf
-    for i in range(m):
-        if w[i] > tol_pivot:
-            xi = xb[i]
-            if xi < 0.0:
-                xi = 0.0
-            t = xi / w[i]
-        elif w[i] < -tol_pivot and np.isfinite(ub[i]):
-            gap = ub[i] - xb[i]
-            if gap < 0.0:
-                gap = 0.0
-            t = gap / (-w[i])
-        else:
-            continue
-        if t <= best + _TIE_SLACK and (row < 0 or basis[i] < best_var):
-            row = i
-            best_var = basis[i]
-            t_row = t
-    kind = 0 if w[row] > 0.0 else 1
-    return t_row, row, kind
-
-
-if NUMBA_AVAILABLE:
-    _jit = nb.njit(cache=True, fastmath=False)
-    eta_update_numba = _jit(_eta_update_loops)
-    ratio_test_numba = _jit(_ratio_test_loops)
-else:
-    eta_update_numba = None
-    ratio_test_numba = None
-
-if USE_NUMBA:
-    eta_update = eta_update_numba
-    ratio_test = ratio_test_numba
-else:
-    eta_update = eta_update_numpy
-    ratio_test = ratio_test_numpy
-
-
-def warmup() -> None:
-    """Trigger jit compilation on tiny inputs so timings exclude it."""
-    binv = np.eye(3)
-    w = np.array([0.5, 1.0, 0.25])
-    eta_update(binv.copy(), w.copy(), 1)
-    ratio_test(
-        np.array([1.0, 2.0, 3.0]),
-        w,
-        np.array([np.inf, np.inf, 4.0]),
-        np.array([0, 1, 2], dtype=np.int64),
-        1e-9,
-    )

@@ -218,6 +218,20 @@ class PairingAlgebra(ResourceAlgebra):
         return (core[1] > self.max_duty_legs or core[2] > self.f_max
                 or core[3] > self.max_duty_legs or core[4] > self.f_max)
 
+    # -- structure/scalar split: only z moves with the duals -----------------
+
+    @staticmethod
+    def scalar(q) -> float:
+        return q[1]
+
+    @staticmethod
+    def with_scalar(q, s):
+        return (q[0], s, q[2], q[3], q[4], q[5])
+
+    @staticmethod
+    def is_top(q) -> bool:
+        return q[0][0] == 3
+
     # -- exact column coefficients for complete paths ------------------------
 
     def n_long_duties(self, q) -> int:

@@ -31,6 +31,7 @@ from .master import CutRow, MasterProblem
 from .network import (
     PairingColumn,
     WindowNetwork,
+    arc_dual_legs,
     arc_resources,
     build_pricing_networks,
     decode_pairing,
@@ -100,20 +101,23 @@ class _WindowPricer:
                  base_algebra: PairingAlgebra,
                  cut_sets: tuple[frozenset, ...], kappa):
         self.net = net
-        self.inst = inst
-        self.cut_sets = cut_sets
         res0 = arc_resources(net, inst, base_algebra, {}, cut_sets)
         self.graph = net.graph.replace_resources(res0)
         self.state_graph = build_state_graph(self.graph, base_algebra, kappa)
+        # Duals only move z: keep each arc's dual-free z and the leg whose
+        # cover dual it pays.
+        self.base_z = [base_algebra.scalar(q) for q in res0]
+        self.dual_legs = arc_dual_legs(net)
         self.algebra = base_algebra
         self.bounds = None
 
     def reprice(self, algebra: PairingAlgebra, leg_duals: dict[int, float]):
-        res = arc_resources(self.net, self.inst, algebra, leg_duals,
-                            self.cut_sets)
-        self.graph = self.net.graph.replace_resources(res)
+        z = [b - leg_duals.get(leg, 0.0)
+             for b, leg in zip(self.base_z, self.dual_legs)]
+        self.graph = self.graph.replace_resources(
+            map(algebra.with_scalar, self.graph.resources, z))
         self.algebra = algebra
-        self.bounds = update_bounds(self.state_graph, self.graph, algebra)
+        self.bounds = update_bounds(self.state_graph, z, algebra)
         # Pricing only wants columns with reduced cost below -PRICING_TOL,
         # so seed the incumbent there: labels that cannot beat it die early,
         # and a None result certifies that no wanted column exists.

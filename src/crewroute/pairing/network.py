@@ -14,8 +14,10 @@ leg departing inside it plus an origin and a destination. Arcs:
 Every rule-feasible pairing appears in at least the window anchored at its
 first departure day, and any origin-destination path decodes to a feasible
 pairing, so pricing over the 7 windows with cross-window deduplication is
-exact. Arc resources depend on the current duals and are rebuilt via
-``replace_resources``; topology and state graphs are built once.
+exact. Only the ``z`` of an arc resource depends on the current duals: it
+is the arc's dual-free ``z`` minus the cover dual of the leg the arc enters
+(``arc_dual_legs``). Topology, state graphs and the rest of each arc
+resource are built once.
 """
 
 from __future__ import annotations
@@ -159,6 +161,21 @@ def arc_resources(
                      - leg_duals.get(leg.id, 0.0))
                 core = multi_core(0, 0, 1 + extra, f + pad, 0)
                 out.append((core, z, c.midnights_crossed, 1, f, counts))
+    return out
+
+
+def arc_dual_legs(net: WindowNetwork) -> list[int | None]:
+    """The leg whose cover dual each arc's ``z`` pays, None on arcs into the
+    destination."""
+    out: list[int | None] = []
+    for tag in net.arc_info:
+        kind = tag[0]
+        if kind == "o":
+            out.append(tag[1])
+        elif kind == "d":
+            out.append(None)
+        else:
+            out.append(tag[1].to_leg)
     return out
 
 

@@ -12,6 +12,12 @@ carries up to ``kappa`` states, each state aggregating a cluster of
 one sound suffix bound per state. With exact algebras the returned minimum
 is independent of which tests are enabled; the tests only change how much
 work is discarded along the way.
+
+Resources split into a fixed structure and one scalar, the only component
+that moves between pricing rounds. ``combine`` adds scalars and ``meet``
+takes their minimum, component by component, so the structure of every
+state bound is fixed when the state graph is built, and a round refreshes
+the bounds with a scalar min-plus DP (``update_bounds``).
 """
 
 from __future__ import annotations
@@ -53,6 +59,22 @@ class ResourceAlgebra:
     def infeasible(self, q) -> bool:
         raise NotImplementedError
 
+    # The structure/scalar split. combine adds scalars, meet takes their
+    # minimum, and the structure of a combine or meet depends on the
+    # structures alone. Without duals, cost(q) is scalar(q) unless is_top(q);
+    # is_top(meet(q1, q2)) holds exactly when both is_top(q1) and is_top(q2).
+
+    def scalar(self, q) -> float:
+        raise NotImplementedError
+
+    def with_scalar(self, q, s):
+        """q with its scalar replaced by s."""
+        raise NotImplementedError
+
+    def is_top(self, q) -> bool:
+        """True when the structure alone makes the cost +inf."""
+        raise NotImplementedError
+
 
 class AdditiveCapacityAlgebra(ResourceAlgebra):
     """Plain (cost, load) resources: componentwise sums, capacity on load."""
@@ -82,6 +104,15 @@ class AdditiveCapacityAlgebra(ResourceAlgebra):
     def infeasible(self, q) -> bool:
         return q[1] > self.capacity
 
+    def scalar(self, q) -> float:
+        return q[0]
+
+    def with_scalar(self, q, s):
+        return (s, q[1])
+
+    def is_top(self, q) -> bool:
+        return False
+
 
 def resolve_kappa(kappa: int | str, n_vertices: int) -> int:
     """Apply the size-based default when kappa is 'auto'."""
@@ -101,7 +132,8 @@ class RcspGraph:
 
     Topology is immutable; ``replace_resources`` returns a sibling graph
     sharing topology (same token) with fresh arc resources, which is how
-    per-iteration dual updates reach an existing state graph.
+    per-round dual updates reach the path search while the state graph
+    built for the topology is kept.
     """
 
     def __init__(self, n_vertices, arcs, origin, dest, resources,
@@ -191,6 +223,9 @@ class StateGraph:
     exactly one of its at most ``kappa`` states, so following a path through
     the state graph is deterministic once the state of the next vertex is
     known, which is what makes the backward DP bounds sound.
+
+    ``bounds`` holds one suffix bound per state. Their structures are fixed
+    at build time; ``update_bounds`` rewrites their scalars in place.
     """
 
     topology_token: object
@@ -199,6 +234,7 @@ class StateGraph:
     state_vertex: list[int]
     state_arcs: list[list[tuple[int, int]]]
     order: list[int]
+    bounds: list
     build_ms: float = 0.0
 
     @property
@@ -215,25 +251,23 @@ class BoundSets:
         return [self.values[s] for s in self.state_graph.states_of[vertex]]
 
 
-def _merge_loss(cl: float, cr: float, cm: float) -> float:
-    lo = min(cl, cr)
-    if lo == math.inf:
-        return 0.0 if cm == math.inf else math.inf
-    if cm == -math.inf:
-        return math.inf
-    return lo - cm
-
-
 def _cluster_candidates(ests, algebra, kappa):
     """Group candidate indices into <= kappa clusters, merging neighbours in
-    cost order with the smallest bound degradation first."""
+    cost order with the smallest bound degradation first.
+
+    Costs are dual-free. A cluster's cost is +inf when every member is top
+    and its minimum member scalar otherwise, which is the cost of the meet
+    of its members without duals."""
     n = len(ests)
     if n <= kappa:
         return [[i] for i in range(n)]
-    costs = [algebra.cost(b) for b in ests]
+    scalars = [algebra.scalar(b) for b in ests]
+    tops = [algebra.is_top(b) for b in ests]
+    costs = [math.inf if t else x for x, t in zip(scalars, tops)]
     order = sorted(range(n), key=lambda i: (costs[i], i))
     members = [[i] for i in order]
-    bound = [ests[i] for i in order]
+    low = [scalars[i] for i in order]
+    top = [tops[i] for i in order]
     cost = [costs[i] for i in order]
     left = list(range(-1, n - 1))
     right = list(range(1, n + 1))
@@ -241,23 +275,38 @@ def _cluster_candidates(ests, algebra, kappa):
     alive = [True] * n
     version = [0] * n
 
+    def loss(a, b):
+        """Bound degradation of merging clusters a and b: the lower of their
+        costs minus the cost of the merged cluster."""
+        ca, cb = cost[a], cost[b]
+        lo = ca if ca <= cb else cb
+        if top[a] and top[b]:
+            cm = math.inf
+        else:
+            la, lb = low[a], low[b]
+            cm = la if la <= lb else lb
+        if lo == math.inf:
+            return 0.0 if cm == math.inf else math.inf
+        if cm == -math.inf:
+            return math.inf
+        return lo - cm
+
     heap = []
     seq = 0
     for i in range(n - 1):
-        m = algebra.meet(bound[i], bound[i + 1])
-        loss = _merge_loss(cost[i], cost[i + 1], algebra.cost(m))
-        heapq.heappush(heap, (loss, seq, i, i + 1, version[i], version[i + 1]))
+        heapq.heappush(heap, (loss(i, i + 1), seq, i, i + 1, 0, 0))
         seq += 1
 
     remaining = n
     while remaining > kappa:
-        loss, _, i, j, vi, vj = heapq.heappop(heap)
+        _, _, i, j, vi, vj = heapq.heappop(heap)
         if not (alive[i] and alive[j]) or version[i] != vi or version[j] != vj:
             continue
-        m = algebra.meet(bound[i], bound[j])
-        members[i] = members[i] + members[j]
-        bound[i] = m
-        cost[i] = algebra.cost(m)
+        members[i].extend(members[j])
+        if low[j] < low[i]:
+            low[i] = low[j]
+        top[i] = top[i] and top[j]
+        cost[i] = math.inf if top[i] else low[i]
         alive[j] = False
         version[i] += 1
         right[i] = right[j]
@@ -267,24 +316,16 @@ def _cluster_candidates(ests, algebra, kappa):
         for nb in (left[i], right[i]):
             if nb >= 0 and alive[nb]:
                 a, b = (nb, i) if nb < i else (i, nb)
-                a, b = (min(nb, i), max(nb, i))
-                mm = algebra.meet(bound[a], bound[b])
                 heapq.heappush(
-                    heap,
-                    (_merge_loss(cost[a], cost[b], algebra.cost(mm)),
-                     seq, a, b, version[a], version[b]),
-                )
+                    heap, (loss(a, b), seq, a, b, version[a], version[b]))
                 seq += 1
 
-    clusters = []
-    for i in range(n):
-        if alive[i]:
-            clusters.append(sorted(members[i]))
-    return clusters
+    return [sorted(members[i]) for i in range(n) if alive[i]]
 
 
 def build_state_graph(graph: RcspGraph, algebra, kappa: int | str) -> StateGraph:
-    """Build the per-vertex state expansion once; bounds refresh separately."""
+    """Build the per-vertex state expansion and its bounds for the graph's
+    arc resources; ``update_bounds`` refreshes the scalars afterwards."""
     t0 = time.perf_counter()
     kap = resolve_kappa(kappa, len(graph.kept))
     if kap < 1:
@@ -330,13 +371,16 @@ def build_state_graph(graph: RcspGraph, algebra, kappa: int | str) -> StateGraph
         state_vertex=state_vertex,
         state_arcs=state_arcs,
         order=order,
+        bounds=est,
     )
     sg.build_ms = (time.perf_counter() - t0) * 1000.0
     return sg
 
 
 def compute_bounds(sg: StateGraph, graph: RcspGraph, algebra) -> BoundSets:
-    """Backward DP over states with the graph's current arc resources."""
+    """Backward DP over states with the graph's current arc resources.
+
+    The full-resource reference for ``update_bounds``."""
     if sg.topology_token is not graph.topology_token:
         raise ValueError("state graph was built for a different topology")
     values = [None] * sg.n_states
@@ -352,9 +396,31 @@ def compute_bounds(sg: StateGraph, graph: RcspGraph, algebra) -> BoundSets:
     return BoundSets(sg, values)
 
 
-def update_bounds(sg: StateGraph, graph: RcspGraph, algebra) -> BoundSets:
-    """Same DP as compute_bounds; the name marks the dual-refresh call site."""
-    return compute_bounds(sg, graph, algebra)
+def update_bounds(sg: StateGraph, arc_scalar, algebra) -> BoundSets:
+    """Refresh the state bounds for new arc scalars.
+
+    ``arc_scalar[aid]`` is the new scalar of arc ``aid``; the arc structures
+    must be those the state graph was built with. A min-plus DP over the
+    state arcs, in the order ``compute_bounds`` meets them, recomputes each
+    bound's scalar, so every bound equals ``compute_bounds`` on the new
+    resources bit for bit. The bounds are rewritten in place: every
+    BoundSets of this state graph shows the latest refresh.
+    """
+    bounds = sg.bounds
+    scalars = [0.0] * sg.n_states
+    for sid in sg.order:
+        arcs = sg.state_arcs[sid]
+        if not arcs:
+            scalars[sid] = algebra.scalar(bounds[sid])
+            continue
+        best = math.inf
+        for aid, nxt in arcs:
+            x = arc_scalar[aid] + scalars[nxt]
+            if x < best:
+                best = x
+        scalars[sid] = best
+        bounds[sid] = algebra.with_scalar(bounds[sid], best)
+    return BoundSets(sg, bounds)
 
 
 class PartialPath:

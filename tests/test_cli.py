@@ -52,6 +52,14 @@ def test_bad_force_syntax_exits_two(capsys, toy2_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", [["--stats"], ["--jobs", "2"],
+                                  ["--limit-paths", "1"]])
+def test_route_rejects_pairing_flags(capsys, toy2_path, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["route", toy2_path] + flag)
+    assert exc.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # error paths
 

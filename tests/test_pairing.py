@@ -7,7 +7,7 @@ import math
 import pytest
 
 from conftest import airport, leg, make_instance, minutes
-from crewroute.instance import build_connections
+from crewroute.instance import ConnectionKind, build_connections
 from crewroute.milp import solve_lp
 from crewroute.oracles import crew_pairing_brute_force, enumerate_pairings
 from crewroute.pairing import solve_crew_pairing
@@ -170,6 +170,38 @@ def test_cut_counts_on_connection_arcs():
     got = _resource_of(_networks(inst)[0], inst, {}, "day", (0, 1),
                        n_cuts=2, cuts=cuts)
     assert got[5] == (1, 0)
+
+
+def test_repriced_arcs_and_bounds_match_full_rebuild():
+    # a pricing round moves only z: the refreshed arc resources must equal
+    # arc_resources under the same duals, and the refreshed bounds the
+    # full-tuple DP over them, bit for bit
+    import random
+
+    from crewroute.generate import generate_instance
+    from crewroute.pairing.colgen import _WindowPricer
+    from crewroute.rcsp import compute_bounds
+
+    inst = generate_instance(n_airports=4, n_bases=2, n_legs=16,
+                             n_aircraft=3, seed=5)
+    conns = build_connections(inst)
+    shorts = sorted(c.key for c in conns if c.kind == ConnectionKind.SHORT)
+    assert len(shorts) >= 2
+    cut_sets = (frozenset(shorts[::2]), frozenset(shorts[1::2]))
+    base = _algebra(inst, n_cuts=2)
+    rng = random.Random(4)
+    for net in build_pricing_networks(inst, conns):
+        pricer = _WindowPricer(net, inst, base, cut_sets, 2)
+        for _ in range(3):
+            duals = {l.id: rng.randrange(-4096, 4096) / 16.0
+                     for l in inst.legs if rng.random() < 0.8}
+            alg = base.with_duals(-rng.random(), -rng.random(),
+                                  (-rng.random(), 0.0))
+            pricer.reprice(alg, duals)
+            want = arc_resources(net, inst, alg, duals, cut_sets)
+            assert repr(pricer.graph.resources) == repr(want)
+            full = compute_bounds(pricer.state_graph, pricer.graph, alg)
+            assert repr(pricer.bounds.values) == repr(full.values)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     check_laws,
     check_monotone,
+    dyadic,
     random_resource,
     small_pairing_algebra,
     worsen,
@@ -242,3 +243,33 @@ def test_additive_algebra_laws_random():
         q1 = qs[0]
         q2 = (q1[0] + rng.randrange(0, 129) / 128.0, q1[1] + rng.randrange(0, 3))
         check_monotone(alg, q1, q2, qs[2])
+
+
+def _check_split(alg, free, q1, q2, a, b):
+    """Scalar split laws; ``free`` is the same algebra without duals."""
+    assert alg.scalar(alg.with_scalar(q1, a)) == a
+    assert alg.with_scalar(q1, alg.scalar(q1)) == q1
+    s1, s2 = alg.with_scalar(q1, a), alg.with_scalar(q2, b)
+    assert alg.combine(s1, s2) == alg.with_scalar(alg.combine(q1, q2), a + b)
+    assert alg.meet(s1, s2) == alg.with_scalar(alg.meet(q1, q2), min(a, b))
+    assert alg.is_top(alg.meet(q1, q2)) == (alg.is_top(q1) and alg.is_top(q2))
+    want = math.inf if alg.is_top(q1) else alg.scalar(q1)
+    assert free.cost(q1) == want
+
+
+def test_scalar_split_laws_random():
+    # the scalar is the only component that moves with the duals: combine
+    # adds it, meet takes its minimum, the rest never depends on it, and
+    # without duals the cost is the scalar unless the structure is top
+    rng = random.Random(23)
+    free = small_pairing_algebra()
+    for _ in range(300):
+        q1, q2 = random_resource(rng), random_resource(rng)
+        assert free.is_top(q1) == (q1[0] == TOP)
+        _check_split(small_pairing_algebra(rng), free, q1, q2,
+                     dyadic(rng), dyadic(rng))
+    add = AdditiveCapacityAlgebra(7)
+    for _ in range(300):
+        q1 = (dyadic(rng), rng.randrange(0, 9))
+        q2 = (dyadic(rng), rng.randrange(0, 9))
+        _check_split(add, add, q1, q2, dyadic(rng), dyadic(rng))

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     all_suffix_resources,
+    dyadic,
     random_additive_dag,
     random_pairing_dag,
     small_pairing_algebra,
@@ -157,25 +158,48 @@ def test_state_count_never_exceeds_kappa():
             assert sg.kappa == kappa
 
 
+def _with_scalars(graph, algebra, scalars):
+    return graph.replace_resources(
+        algebra.with_scalar(q, x) for q, x in zip(graph.resources, scalars))
+
+
 def test_update_bounds_tracks_new_resources():
-    # the clustering is frozen at build time; refreshing the values on the
-    # same state graph must agree with a full recomputation on it and stay
-    # a valid family of suffix lower bounds for the new resources
+    # the clustering and the load structure are frozen at build time; new
+    # costs on the same loads refresh the values, which must agree with a
+    # full recomputation and stay a valid family of suffix lower bounds
     rng = random.Random(13)
     alg = AdditiveCapacityAlgebra(8)
     g = random_additive_dag(rng, capacity=8)
     sg = build_state_graph(g, alg, 2)
     for _ in range(20):
-        res = [(rng.randrange(-512, 1025) / 256.0, rng.randrange(0, 4))
-               for _ in g.arcs]
-        g2 = g.replace_resources(res)
-        updated = update_bounds(sg, g2, alg)
+        costs = [rng.randrange(-512, 1025) / 256.0 for _ in g.arcs]
+        g2 = _with_scalars(g, alg, costs)
+        updated = update_bounds(sg, costs, alg)
         recomputed = compute_bounds(sg, g2, alg)
         for v in g2.kept:
             assert sorted(updated.at(v)) == sorted(recomputed.at(v))
             lows = updated.at(v)
             for q in all_suffix_resources(g2, alg, v):
                 assert any(alg.leq(low, q) for low in lows)
+
+
+def test_update_bounds_matches_full_dp_pairing():
+    # the refresh recomputes only the z of each bound; on pricing graphs
+    # with duals and cut counts it must reproduce the full-tuple DP bit for
+    # bit at every state, and so must the bounds the build leaves behind
+    rng = random.Random(29)
+    for _ in range(25):
+        alg = small_pairing_algebra(rng)
+        g = random_pairing_dag(rng)
+        for kappa in (1, 2, 3):
+            sg = build_state_graph(g, alg, kappa)
+            assert repr(sg.bounds) == repr(compute_bounds(sg, g, alg).values)
+            for _ in range(3):
+                z = [dyadic(rng) for _ in g.arcs]
+                got = update_bounds(sg, z, alg).values
+                want = compute_bounds(sg, _with_scalars(g, alg, z), alg).values
+                for a, b in zip(got, want, strict=True):
+                    assert repr(a) == repr(b)
 
 
 def test_bounds_reject_foreign_topology():
