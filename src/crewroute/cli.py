@@ -69,8 +69,6 @@ def _add_pricing(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--stats", action="store_true",
                    help="include wall-clock statistics (not reproducible)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads for window pricing")
     p.add_argument("--limit-paths", type=int, default=200_000,
                    help="path cap for the enumeration phase")
 
@@ -145,8 +143,7 @@ def _cmd_route(args) -> int:
     if args.minimize:
         res = minimize_aircraft(inst, node_limit=args.limit_nodes)
     else:
-        budget = args.budget if args.budget is not None else -1
-        res = solve_routing(inst, forced=args.force, budget=budget,
+        res = solve_routing(inst, forced=args.force, budget=args.budget,
                             node_limit=args.limit_nodes)
     _emit(res.as_dict(), args.output)
     return _EXIT_BY_STATUS[res.status]
@@ -156,7 +153,7 @@ def _cmd_pair(args) -> int:
     inst = _load(args.instance)
     res = solve_crew_pairing(
         inst, kappa=args.kappa, path_limit=args.limit_paths,
-        node_limit=args.limit_nodes, jobs=args.jobs,
+        node_limit=args.limit_nodes,
     )
     _emit(res.as_dict(include_timing=args.stats), args.output)
     return _EXIT_BY_STATUS[res.status]
@@ -167,7 +164,7 @@ def _cmd_integrated(args) -> int:
     res = solve_integrated(
         inst, gamma=args.gamma, iteration_limit=args.iteration_limit,
         kappa=args.kappa, path_limit=args.limit_paths,
-        node_limit=args.limit_nodes, jobs=args.jobs,
+        node_limit=args.limit_nodes,
     )
     _emit(res.as_dict(include_timing=args.stats), args.output)
     return _EXIT_BY_STATUS[res.status]

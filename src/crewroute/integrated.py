@@ -103,12 +103,13 @@ def solve_integrated(
     path_limit: int = 200_000,
     node_limit: int = 200_000,
     max_rounds: int = 500,
-    jobs: int = 1,
 ) -> IntegratedResult:
-    if connections is None:
-        connections = build_connections(inst)
     if gamma is None:
         gamma = inst.rules.gamma
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError(f"gamma must be in (0, 1], got {gamma!r}")
+    if connections is None:
+        connections = build_connections(inst)
 
     cuts: list[CutRow] = []
     seen: set[frozenset] = set()
@@ -143,7 +144,7 @@ def solve_integrated(
         cp = solve_crew_pairing(
             inst, connections, cuts=tuple(cuts), kappa=kappa,
             path_limit=path_limit, node_limit=node_limit,
-            max_rounds=max_rounds, jobs=jobs,
+            max_rounds=max_rounds,
         )
         cp_ms = (time.perf_counter() - t_cp) * 1000.0
         mip_ms = cp.stats.get("mip_ms", 0.0)

@@ -238,19 +238,3 @@ class PairingAlgebra(ResourceAlgebra):
         if q[0][0] == 3:
             raise ValueError("infeasible resource has no duty count")
         return self._g(q[0])
-
-    @staticmethod
-    def n_duties(q) -> int:
-        return q[3] + 1
-
-    @staticmethod
-    def nights(q) -> int:
-        return q[2]
-
-    @staticmethod
-    def flying(q) -> int:
-        return q[4]
-
-    @staticmethod
-    def is_long_pairing(q) -> bool:
-        return q[2] >= LONG_PAIRING_NIGHTS

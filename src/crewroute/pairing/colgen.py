@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..instance import Connection, Instance, build_connections
@@ -95,38 +94,36 @@ class PairingResult:
 
 
 class _WindowPricer:
-    """Owns one window's graph, state graph and current bounds."""
+    """One window's network and the state graph that prices it."""
 
     def __init__(self, net: WindowNetwork, inst: Instance,
                  base_algebra: PairingAlgebra,
                  cut_sets: tuple[frozenset, ...], kappa):
         self.net = net
-        res0 = arc_resources(net, inst, base_algebra, {}, cut_sets)
-        self.graph = net.graph.replace_resources(res0)
-        self.state_graph = build_state_graph(self.graph, base_algebra, kappa)
+        net.graph.resources = arc_resources(net, inst, base_algebra, {},
+                                            cut_sets)
+        self.state_graph = build_state_graph(net.graph, base_algebra, kappa)
         # Duals only move z: keep each arc's dual-free z and the leg whose
         # cover dual it pays.
-        self.base_z = [base_algebra.scalar(q) for q in res0]
+        self.base_z = [base_algebra.scalar(q) for q in net.graph.resources]
         self.dual_legs = arc_dual_legs(net)
         self.algebra = base_algebra
-        self.bounds = None
 
     def reprice(self, algebra: PairingAlgebra, leg_duals: dict[int, float]):
         z = [b - leg_duals.get(leg, 0.0)
              for b, leg in zip(self.base_z, self.dual_legs)]
-        self.graph = self.graph.replace_resources(
-            map(algebra.with_scalar, self.graph.resources, z))
+        graph = self.net.graph
+        graph.resources = list(map(algebra.with_scalar, graph.resources, z))
         self.algebra = algebra
-        self.bounds = update_bounds(self.state_graph, z, algebra)
+        update_bounds(self.state_graph, z, algebra)
         # Pricing only wants columns with reduced cost below -PRICING_TOL,
         # so seed the incumbent there: labels that cannot beat it die early,
         # and a None result certifies that no wanted column exists.
-        return solve(self.graph, self.algebra, self.bounds,
-                     initial_ub=-PRICING_TOL)
+        return solve(self.state_graph, algebra, initial_ub=-PRICING_TOL)
 
     def enumerate(self, c_ub: float, path_limit: int):
-        return enumerate_within(self.graph, self.algebra, self.bounds,
-                                c_ub, path_limit)
+        return enumerate_within(self.state_graph, self.algebra, c_ub,
+                                path_limit)
 
 
 def solve_crew_pairing(
@@ -137,7 +134,6 @@ def solve_crew_pairing(
     path_limit: int = 200_000,
     node_limit: int = 200_000,
     max_rounds: int = 500,
-    jobs: int = 1,
 ) -> PairingResult:
     t0 = time.perf_counter()
     if connections is None:
@@ -171,11 +167,7 @@ def solve_crew_pairing(
 
     def run_windows(fn):
         t = time.perf_counter()
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                out = list(pool.map(fn, pricers))
-        else:
-            out = [fn(p) for p in pricers]
+        out = [fn(p) for p in pricers]
         stats["pricing_ms"] += (time.perf_counter() - t) * 1000.0
         return out
 

@@ -74,7 +74,7 @@ def _local(t: int, window: int) -> int:
 def build_pricing_networks(
     inst: Instance, connections: list[Connection]
 ) -> list[WindowNetwork]:
-    """One network per weekday window, topology only (unit resources)."""
+    """One network per weekday window, topology only (resources unset)."""
     legs = {l.id: l for l in inst.legs}
     crew_conns = [
         c for c in connections

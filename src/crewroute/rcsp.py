@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class ResourceAlgebra:
@@ -130,21 +129,12 @@ def resolve_kappa(kappa: int | str, n_vertices: int) -> int:
 class RcspGraph:
     """Acyclic digraph with opaque arc resources, pruned to o-d vertices.
 
-    Topology is immutable; ``replace_resources`` returns a sibling graph
-    sharing topology (same token) with fresh arc resources, which is how
-    per-round dual updates reach the path search while the state graph
-    built for the topology is kept.
+    Topology is immutable. ``resources`` holds one resource per arc; a
+    pricing round rebinds it to resources that keep each arc's structure
+    and change its scalar.
     """
 
-    def __init__(self, n_vertices, arcs, origin, dest, resources,
-                 _shared=None):
-        if _shared is not None:
-            (self.n_vertices, self.arcs, self.origin, self.dest, self.out,
-             self.topo_order, self.kept, self.topology_token) = _shared
-            self.resources = list(resources)
-            if len(self.resources) != len(self.arcs):
-                raise ValueError("resource list length mismatch")
-            return
+    def __init__(self, n_vertices, arcs, origin, dest, resources):
         if origin == dest:
             raise ValueError("origin and destination must differ")
         if not (0 <= origin < n_vertices and 0 <= dest < n_vertices):
@@ -177,7 +167,6 @@ class RcspGraph:
             if u in self.kept and v in self.kept:
                 self.out[u].append(aid)
         self.topo_order = [v for v in order if v in self.kept]
-        self.topology_token = object()
 
     @staticmethod
     def _topo_sort(succ):
@@ -209,15 +198,11 @@ class RcspGraph:
                     stack.append(w)
         return seen
 
-    def replace_resources(self, resources) -> "RcspGraph":
-        shared = (self.n_vertices, self.arcs, self.origin, self.dest,
-                  self.out, self.topo_order, self.kept, self.topology_token)
-        return RcspGraph(0, [], 0, 0, resources, _shared=shared)
-
 
 @dataclass
 class StateGraph:
-    """Vertex-state expansion used to compute suffix bound sets.
+    """The pricing state of one graph: its vertex-state expansion and the
+    suffix bounds the search prunes with.
 
     Every (out-arc, successor-state) candidate of a vertex belongs to
     exactly one of its at most ``kappa`` states, so following a path through
@@ -228,27 +213,21 @@ class StateGraph:
     at build time; ``update_bounds`` rewrites their scalars in place.
     """
 
-    topology_token: object
+    graph: RcspGraph
     kappa: int
     states_of: list[list[int]]
     state_vertex: list[int]
     state_arcs: list[list[tuple[int, int]]]
     order: list[int]
     bounds: list
-    build_ms: float = 0.0
 
     @property
     def n_states(self) -> int:
         return len(self.state_vertex)
 
-
-@dataclass
-class BoundSets:
-    state_graph: StateGraph
-    values: list
-
     def at(self, vertex: int) -> list:
-        return [self.values[s] for s in self.state_graph.states_of[vertex]]
+        """The bounds of the vertex's states."""
+        return [self.bounds[s] for s in self.states_of[vertex]]
 
 
 def _cluster_candidates(ests, algebra, kappa):
@@ -326,7 +305,6 @@ def _cluster_candidates(ests, algebra, kappa):
 def build_state_graph(graph: RcspGraph, algebra, kappa: int | str) -> StateGraph:
     """Build the per-vertex state expansion and its bounds for the graph's
     arc resources; ``update_bounds`` refreshes the scalars afterwards."""
-    t0 = time.perf_counter()
     kap = resolve_kappa(kappa, len(graph.kept))
     if kap < 1:
         raise ValueError("kappa must be at least 1")
@@ -364,8 +342,8 @@ def build_state_graph(graph: RcspGraph, algebra, kappa: int | str) -> StateGraph
                 bound = algebra.meet(bound, cand_est[idx])
             new_state(v, [cand_arcs[i] for i in cluster], bound)
 
-    sg = StateGraph(
-        topology_token=graph.topology_token,
+    return StateGraph(
+        graph=graph,
         kappa=kap,
         states_of=states_of,
         state_vertex=state_vertex,
@@ -373,16 +351,14 @@ def build_state_graph(graph: RcspGraph, algebra, kappa: int | str) -> StateGraph
         order=order,
         bounds=est,
     )
-    sg.build_ms = (time.perf_counter() - t0) * 1000.0
-    return sg
 
 
-def compute_bounds(sg: StateGraph, graph: RcspGraph, algebra) -> BoundSets:
+def compute_bounds(sg: StateGraph, algebra) -> list:
     """Backward DP over states with the graph's current arc resources.
 
-    The full-resource reference for ``update_bounds``."""
-    if sg.topology_token is not graph.topology_token:
-        raise ValueError("state graph was built for a different topology")
+    The full-resource reference for ``update_bounds``; returns one bound per
+    state and leaves ``sg.bounds`` as it is."""
+    resources = sg.graph.resources
     values = [None] * sg.n_states
     for sid in sg.order:
         if not sg.state_arcs[sid]:
@@ -390,21 +366,20 @@ def compute_bounds(sg: StateGraph, graph: RcspGraph, algebra) -> BoundSets:
             continue
         acc = None
         for aid, nxt in sg.state_arcs[sid]:
-            q = algebra.combine(graph.resources[aid], values[nxt])
+            q = algebra.combine(resources[aid], values[nxt])
             acc = q if acc is None else algebra.meet(acc, q)
         values[sid] = acc
-    return BoundSets(sg, values)
+    return values
 
 
-def update_bounds(sg: StateGraph, arc_scalar, algebra) -> BoundSets:
+def update_bounds(sg: StateGraph, arc_scalar, algebra) -> None:
     """Refresh the state bounds for new arc scalars.
 
     ``arc_scalar[aid]`` is the new scalar of arc ``aid``; the arc structures
     must be those the state graph was built with. A min-plus DP over the
     state arcs, in the order ``compute_bounds`` meets them, recomputes each
     bound's scalar, so every bound equals ``compute_bounds`` on the new
-    resources bit for bit. The bounds are rewritten in place: every
-    BoundSets of this state graph shows the latest refresh.
+    resources bit for bit. The bounds are rewritten in place.
     """
     bounds = sg.bounds
     scalars = [0.0] * sg.n_states
@@ -420,7 +395,6 @@ def update_bounds(sg: StateGraph, arc_scalar, algebra) -> BoundSets:
                 best = x
         scalars[sid] = best
         bounds[sid] = algebra.with_scalar(bounds[sid], best)
-    return BoundSets(sg, bounds)
 
 
 class PartialPath:
@@ -446,28 +420,14 @@ class SolveStats:
     paths_enumerated: int = 0
     cut_dom: int = 0
     cut_low: int = 0
-    runtime_ms: float = 0.0
-    kappa: int = 1
-    bound_build_ms: float = 0.0
     truncated: bool = False
 
-    def as_dict(self, include_timing: bool = True) -> dict:
-        out = {
-            "paths_enumerated": self.paths_enumerated,
-            "cut_dom": self.cut_dom,
-            "cut_low": self.cut_low,
-            "kappa": self.kappa,
-        }
-        if include_timing:
-            out["runtime_ms"] = self.runtime_ms
-            out["bound_build_ms"] = self.bound_build_ms
-        return out
 
-
-def _key_of(q, vertex, algebra, bounds: BoundSets) -> float:
+def _key_of(q, vertex, algebra, sg: StateGraph) -> float:
+    bounds = sg.bounds
     best = math.inf
-    for b in bounds.at(vertex):
-        qb = algebra.combine(q, b)
+    for s in sg.states_of[vertex]:
+        qb = algebra.combine(q, bounds[s])
         if not algebra.infeasible(qb):
             c = algebra.cost(qb)
             if c < best:
@@ -476,9 +436,8 @@ def _key_of(q, vertex, algebra, bounds: BoundSets) -> float:
 
 
 def solve(
-    graph: RcspGraph,
+    sg: StateGraph,
     algebra,
-    bounds: BoundSets,
     tests: tuple[str, ...] = ("dom", "low"),
     initial_ub: float = math.inf,
 ):
@@ -493,21 +452,19 @@ def solve(
     optimum whenever the optimum costs less than initial_ub, and (inf, None)
     otherwise.
     """
-    t0 = time.perf_counter()
-    stats = SolveStats(kappa=bounds.state_graph.kappa,
-                       bound_build_ms=bounds.state_graph.build_ms)
+    graph = sg.graph
+    stats = SolveStats()
     use_dom = "dom" in tests
     use_low = "low" in tests
     ub = initial_ub
     best: PartialPath | None = None
 
     if graph.origin not in graph.kept:
-        stats.runtime_ms = (time.perf_counter() - t0) * 1000.0
         return math.inf, None, stats
 
     root = PartialPath(graph.origin, algebra.neutral, None, None)
     seq = 0
-    heap = [(_key_of(root.resource, graph.origin, algebra, bounds), seq, root)]
+    heap = [(_key_of(root.resource, graph.origin, algebra, sg), seq, root)]
     nondom: dict[int, list] = {}
 
     while heap:
@@ -540,19 +497,17 @@ def solve(
             seq += 1
             child = PartialPath(head, q2, lab, aid)
             heapq.heappush(
-                heap, (_key_of(q2, head, algebra, bounds), seq, child)
+                heap, (_key_of(q2, head, algebra, sg), seq, child)
             )
 
-    stats.runtime_ms = (time.perf_counter() - t0) * 1000.0
     if best is None:
         return math.inf, None, stats
     return ub, best.arc_path(), stats
 
 
 def enumerate_within(
-    graph: RcspGraph,
+    sg: StateGraph,
     algebra,
-    bounds: BoundSets,
     c_ub: float,
     path_limit: int = 200_000,
 ):
@@ -561,17 +516,15 @@ def enumerate_within(
     Returns (entries, stats) where entries are (arc path, resource, cost)
     and stats.truncated reports a hit of ``path_limit`` (not an error).
     """
-    t0 = time.perf_counter()
-    stats = SolveStats(kappa=bounds.state_graph.kappa,
-                       bound_build_ms=bounds.state_graph.build_ms)
+    graph = sg.graph
+    stats = SolveStats()
     found: list[tuple[tuple[int, ...], object, float]] = []
     if graph.origin not in graph.kept:
-        stats.runtime_ms = (time.perf_counter() - t0) * 1000.0
         return found, stats
 
     root = PartialPath(graph.origin, algebra.neutral, None, None)
     seq = 0
-    heap = [(_key_of(root.resource, graph.origin, algebra, bounds), seq, root)]
+    heap = [(_key_of(root.resource, graph.origin, algebra, sg), seq, root)]
     while heap:
         key, _, lab = heapq.heappop(heap)
         stats.paths_enumerated += 1
@@ -595,9 +548,8 @@ def enumerate_within(
             seq += 1
             child = PartialPath(head, q2, lab, aid)
             heapq.heappush(
-                heap, (_key_of(q2, head, algebra, bounds), seq, child)
+                heap, (_key_of(q2, head, algebra, sg), seq, child)
             )
-    stats.runtime_ms = (time.perf_counter() - t0) * 1000.0
     return found, stats
 
 

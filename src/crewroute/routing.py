@@ -222,16 +222,27 @@ def solve_routing(
     inst: Instance,
     connections: list[Connection] | None = None,
     forced=None,
-    budget: int | None = -1,
+    budget: int | None = None,
     node_limit: int = 200_000,
 ) -> RoutingResult:
     """Minimum-aircraft maintenance routing under a fleet budget.
 
-    ``budget=-1`` means the instance's fleet size; ``budget=None`` drops the
-    budget row entirely (pure aircraft minimization).
+    ``budget=None`` means the instance's fleet size.
     """
-    if budget == -1:
+    if budget is None:
         budget = inst.rules.n_a
+    return _solve(inst, connections, forced, budget, node_limit)
+
+
+def _solve(
+    inst: Instance,
+    connections: list[Connection] | None,
+    forced,
+    budget: int | None,
+    node_limit: int,
+) -> RoutingResult:
+    """The routing solve; ``budget=None`` builds the model without a budget
+    row."""
     if forced is None:
         forced = {}
     elif not isinstance(forced, dict):
@@ -264,5 +275,4 @@ def minimize_aircraft(
     node_limit: int = 200_000,
 ) -> RoutingResult:
     """Fewest aircraft that can fly the whole schedule, no budget row."""
-    return solve_routing(inst, connections, forced=None, budget=None,
-                         node_limit=node_limit)
+    return _solve(inst, connections, None, None, node_limit)

@@ -43,7 +43,6 @@ from crewroute.rcsp import (
     AdditiveCapacityAlgebra,
     brute_force_oracle,
     build_state_graph,
-    compute_bounds,
     enumerate_within,
     solve,
 )
@@ -55,11 +54,6 @@ ALL_CONFIGS = ((), ("dom",), ("low",), ("dom", "low"))
 def _report(capsys, text: str) -> None:
     with capsys.disabled():
         print(f"\n{text}")
-
-
-def _bounds(graph, algebra, kappa):
-    return compute_bounds(build_state_graph(graph, algebra, kappa),
-                          graph, algebra)
 
 
 def _gen(seed: int, n_legs: int, n_aircraft: int, **overrides):
@@ -133,9 +127,9 @@ def test_criterion_2_search_matches_oracle(capsys):
         want_cost, _, feas = brute_force_oracle(g, alg)
         if want_cost < math.inf:
             feasible += 1
-        b = _bounds(g, alg, 2)
+        b = build_state_graph(g, alg, 2)
         for tests in ALL_CONFIGS:
-            cost, path, _ = solve(g, alg, b, tests=tests)
+            cost, path, _ = solve(b, alg, tests=tests)
             assert cost == want_cost
             if cost < math.inf:
                 assert (path, cost) in feas
@@ -144,7 +138,7 @@ def test_criterion_2_search_matches_oracle(capsys):
         thresholds = [math.inf] if not costs else \
             [costs[len(costs) // 2], math.inf]
         for c_ub in thresholds:
-            found, st = enumerate_within(g, alg, b, c_ub)
+            found, st = enumerate_within(b, alg, c_ub)
             assert not st.truncated
             got = sorted((p, c) for p, _, c in found)
             assert got == sorted((p, c) for p, c in feas if c <= c_ub)
@@ -162,7 +156,7 @@ def test_criterion_3_bounds_dominate_suffixes(capsys):
     for g, alg in _corpus():
         suffixes = {v: all_suffix_resources(g, alg, v) for v in g.kept}
         for kappa in (1, 2, 4, "auto"):
-            b = _bounds(g, alg, kappa)
+            b = build_state_graph(g, alg, kappa)
             for v in g.kept:
                 lows = b.at(v)
                 for q in suffixes[v]:

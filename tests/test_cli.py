@@ -60,6 +60,13 @@ def test_route_rejects_pairing_flags(capsys, toy2_path, flag):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["pair", "integrated"])
+def test_jobs_flag_is_a_usage_error(capsys, toy2_path, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, toy2_path, "--jobs", "2"])
+    assert exc.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # error paths
 
@@ -187,6 +194,15 @@ def test_stats_flag_adds_timing(capsys, toy2_path):
     assert "runtime_ms" in stats
     _, out, _ = _run(capsys, ["integrated", toy2_path, "--stats"])
     assert "total_time_ms" in json.loads(out)["stats"]
+
+
+@pytest.mark.parametrize("gamma", ["0", "-1", "1.5", "nan"])
+def test_integrated_rejects_gamma_outside_unit_interval(capsys, toy2_path,
+                                                        gamma):
+    code, out, err = _run(capsys, ["integrated", toy2_path, "--gamma", gamma])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("crewroute: error: gamma must be in (0, 1]")
 
 
 def test_integrated_exit_codes(capsys, toy2_path, overcut, tmp_path):

@@ -72,6 +72,12 @@ def test_no_shorts_single_iteration(toy2):
     assert "cut_rhs" not in entry
 
 
+@pytest.mark.parametrize("gamma", [0.0, -1.0, 1.5, math.nan])
+def test_gamma_outside_unit_interval_is_rejected(toy2, gamma):
+    with pytest.raises(ValueError, match=r"gamma must be in \(0, 1\]"):
+        solve_integrated(toy2, gamma=gamma)
+
+
 def test_relaxed_gamma_not_marked_proven(toy2):
     # same solution, but gamma < 1 never certifies optimality
     res = solve_integrated(toy2)

@@ -199,9 +199,9 @@ def test_repriced_arcs_and_bounds_match_full_rebuild():
                                   (-rng.random(), 0.0))
             pricer.reprice(alg, duals)
             want = arc_resources(net, inst, alg, duals, cut_sets)
-            assert repr(pricer.graph.resources) == repr(want)
-            full = compute_bounds(pricer.state_graph, pricer.graph, alg)
-            assert repr(pricer.bounds.values) == repr(full.values)
+            assert repr(net.graph.resources) == repr(want)
+            full = compute_bounds(pricer.state_graph, alg)
+            assert repr(pricer.state_graph.bounds) == repr(full)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +211,8 @@ def test_repriced_arcs_and_bounds_match_full_rebuild():
 def test_decode_round_trip(toy2):
     net = _networks(toy2)[0]
     alg = _algebra(toy2)
-    g = net.graph.replace_resources(arc_resources(net, toy2, alg, {}))
-    _, best_path, feas = brute_force_oracle(g, alg)
+    net.graph.resources = arc_resources(net, toy2, alg, {})
+    _, best_path, feas = brute_force_oracle(net.graph, alg)
     assert len(feas) == 1
     col = decode_pairing(net, toy2, best_path)
     assert col.legs == (0, 1)
@@ -236,8 +236,8 @@ def test_windows_enumerate_exactly_the_rule_feasible_pairings():
     alg = _algebra(inst)
     decoded: dict[tuple, object] = {}
     for net in build_pricing_networks(inst, conns):
-        g = net.graph.replace_resources(arc_resources(net, inst, alg, {}))
-        _, _, feas = brute_force_oracle(g, alg)
+        net.graph.resources = arc_resources(net, inst, alg, {})
+        _, _, feas = brute_force_oracle(net.graph, alg)
         for path, cost in feas:
             col = decode_pairing(net, inst, path)
             assert cost == pytest.approx(col.cost, abs=1e-9)

@@ -29,9 +29,12 @@ from crewroute.rcsp import (
 ALL_CONFIGS = ((), ("dom",), ("low",), ("dom", "low"))
 
 
-def _bounds(graph, algebra, kappa):
-    return compute_bounds(build_state_graph(graph, algebra, kappa),
-                          graph, algebra)
+def _state_graph(graph, algebra, kappa):
+    # the bounds a build leaves are the full-tuple DP's, which compute_bounds
+    # returns without writing them
+    sg = build_state_graph(graph, algebra, kappa)
+    assert compute_bounds(sg, algebra) == sg.bounds
+    return sg
 
 
 def test_resolve_kappa_auto_thresholds():
@@ -66,9 +69,9 @@ def test_pruning_keeps_od_core():
 def test_disconnected_origin_is_empty():
     g = RcspGraph(4, [(0, 1), (2, 3)], 0, 3, [(1.0, 0), (1.0, 0)])
     alg = AdditiveCapacityAlgebra(10)
-    cost, path, _ = solve(g, alg, _bounds(g, alg, 1))
+    cost, path, _ = solve(_state_graph(g, alg, 1), alg)
     assert cost == math.inf and path is None
-    found, _ = enumerate_within(g, alg, _bounds(g, alg, 1), math.inf)
+    found, _ = enumerate_within(_state_graph(g, alg, 1), alg, math.inf)
     assert found == []
 
 
@@ -80,12 +83,11 @@ def test_path_graph_single_state():
     g = RcspGraph(4, [(0, 1), (1, 2), (2, 3)], 0, 3,
                   [(1.0, 1), (2.0, 0), (4.0, 1)])
     alg = AdditiveCapacityAlgebra(5)
-    sg = build_state_graph(g, alg, 4)
+    sg = _state_graph(g, alg, 4)
     assert all(len(sg.states_of[v]) == 1 for v in g.kept)
-    b = compute_bounds(sg, g, alg)
-    assert b.at(0) == [(7.0, 2)]
-    assert b.at(2) == [(4.0, 1)]
-    assert b.at(3) == [alg.neutral]
+    assert sg.at(0) == [(7.0, 2)]
+    assert sg.at(2) == [(4.0, 1)]
+    assert sg.at(3) == [alg.neutral]
 
 
 DIAMOND_ARCS = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]
@@ -95,31 +97,29 @@ DIAMOND_RES = [(1.0, 0), (5.0, 0), (2.0, 0), (7.0, 0), (1.0, 0)]
 def test_diamond_two_states_split_at_divergence():
     g = RcspGraph(5, DIAMOND_ARCS, 0, 4, DIAMOND_RES)
     alg = AdditiveCapacityAlgebra(10)
-    sg = build_state_graph(g, alg, 2)
+    sg = _state_graph(g, alg, 2)
     assert len(sg.states_of[0]) == 2
-    b = compute_bounds(sg, g, alg)
-    assert sorted(b.at(0)) == [(4.0, 0), (13.0, 0)]
+    assert sorted(sg.at(0)) == [(4.0, 0), (13.0, 0)]
 
 
 def test_diamond_single_state_meets():
     g = RcspGraph(5, DIAMOND_ARCS, 0, 4, DIAMOND_RES)
     alg = AdditiveCapacityAlgebra(10)
-    sg = build_state_graph(g, alg, 1)
+    sg = _state_graph(g, alg, 1)
     assert all(len(sg.states_of[v]) == 1 for v in g.kept)
-    b = compute_bounds(sg, g, alg)
-    assert b.at(0) == [(4.0, 0)]
+    assert sg.at(0) == [(4.0, 0)]
 
 
 def test_single_arc_bound_is_exact():
     g = RcspGraph(2, [(0, 1)], 0, 1, [(3.5, 2)])
     alg = AdditiveCapacityAlgebra(10)
-    assert _bounds(g, alg, 3).at(0) == [(3.5, 2)]
+    assert _state_graph(g, alg, 3).at(0) == [(3.5, 2)]
 
 
 def test_parallel_fork_meet():
     g = RcspGraph(2, [(0, 1), (0, 1)], 0, 1, [(3.0, 5), (1.0, 7)])
     alg = AdditiveCapacityAlgebra(10)
-    assert _bounds(g, alg, 1).at(0) == [(1.0, 5)]
+    assert _state_graph(g, alg, 1).at(0) == [(1.0, 5)]
 
 
 @pytest.mark.parametrize("kappa", [1, 2, 4])
@@ -128,9 +128,9 @@ def test_bounds_dominate_all_suffixes_additive(kappa):
     for _ in range(40):
         g = random_additive_dag(rng, capacity=rng.randrange(2, 9))
         alg = AdditiveCapacityAlgebra(10)
-        b = _bounds(g, alg, kappa)
+        sg = _state_graph(g, alg, kappa)
         for v in g.kept:
-            lows = b.at(v)
+            lows = sg.at(v)
             for q in all_suffix_resources(g, alg, v):
                 assert any(alg.leq(low, q) for low in lows)
 
@@ -141,9 +141,9 @@ def test_bounds_dominate_all_suffixes_pairing():
     for _ in range(25):
         g = random_pairing_dag(rng)
         for kappa in (1, 3):
-            b = _bounds(g, alg, kappa)
+            sg = _state_graph(g, alg, kappa)
             for v in g.kept:
-                lows = b.at(v)
+                lows = sg.at(v)
                 for q in all_suffix_resources(g, alg, v):
                     assert any(alg.leq(low, q) for low in lows)
 
@@ -159,8 +159,8 @@ def test_state_count_never_exceeds_kappa():
 
 
 def _with_scalars(graph, algebra, scalars):
-    return graph.replace_resources(
-        algebra.with_scalar(q, x) for q, x in zip(graph.resources, scalars))
+    return [algebra.with_scalar(q, x)
+            for q, x in zip(graph.resources, scalars)]
 
 
 def test_update_bounds_tracks_new_resources():
@@ -173,13 +173,14 @@ def test_update_bounds_tracks_new_resources():
     sg = build_state_graph(g, alg, 2)
     for _ in range(20):
         costs = [rng.randrange(-512, 1025) / 256.0 for _ in g.arcs]
-        g2 = _with_scalars(g, alg, costs)
-        updated = update_bounds(sg, costs, alg)
-        recomputed = compute_bounds(sg, g2, alg)
-        for v in g2.kept:
-            assert sorted(updated.at(v)) == sorted(recomputed.at(v))
-            lows = updated.at(v)
-            for q in all_suffix_resources(g2, alg, v):
+        g.resources = _with_scalars(g, alg, costs)
+        update_bounds(sg, costs, alg)
+        recomputed = compute_bounds(sg, alg)
+        for v in g.kept:
+            assert sorted(sg.at(v)) == sorted(recomputed[s]
+                                              for s in sg.states_of[v])
+            lows = sg.at(v)
+            for q in all_suffix_resources(g, alg, v):
                 assert any(alg.leq(low, q) for low in lows)
 
 
@@ -191,24 +192,18 @@ def test_update_bounds_matches_full_dp_pairing():
     for _ in range(25):
         alg = small_pairing_algebra(rng)
         g = random_pairing_dag(rng)
+        built = g.resources
         for kappa in (1, 2, 3):
+            g.resources = built
             sg = build_state_graph(g, alg, kappa)
-            assert repr(sg.bounds) == repr(compute_bounds(sg, g, alg).values)
+            assert repr(sg.bounds) == repr(compute_bounds(sg, alg))
             for _ in range(3):
                 z = [dyadic(rng) for _ in g.arcs]
-                got = update_bounds(sg, z, alg).values
-                want = compute_bounds(sg, _with_scalars(g, alg, z), alg).values
-                for a, b in zip(got, want, strict=True):
+                update_bounds(sg, z, alg)
+                g.resources = _with_scalars(g, alg, z)
+                want = compute_bounds(sg, alg)
+                for a, b in zip(sg.bounds, want, strict=True):
                     assert repr(a) == repr(b)
-
-
-def test_bounds_reject_foreign_topology():
-    alg = AdditiveCapacityAlgebra(5)
-    g1 = RcspGraph(3, [(0, 1), (1, 2)], 0, 2, [(1.0, 0), (1.0, 0)])
-    g2 = RcspGraph(3, [(0, 1), (1, 2)], 0, 2, [(1.0, 0), (1.0, 0)])
-    sg = build_state_graph(g1, alg, 1)
-    with pytest.raises(ValueError, match="different topology"):
-        compute_bounds(sg, g2, alg)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +213,7 @@ def test_bounds_reject_foreign_topology():
 def test_solve_single_path():
     g = RcspGraph(3, [(0, 1), (1, 2)], 0, 2, [(2.0, 1), (3.0, 1)])
     alg = AdditiveCapacityAlgebra(5)
-    cost, path, stats = solve(g, alg, _bounds(g, alg, 1))
+    cost, path, stats = solve(_state_graph(g, alg, 1), alg)
     assert cost == 5.0
     assert path == (0, 1)
     assert stats.paths_enumerated >= 1
@@ -227,7 +222,7 @@ def test_solve_single_path():
 def test_solve_respects_capacity():
     g = RcspGraph(2, [(0, 1), (0, 1)], 0, 1, [(1.0, 9), (4.0, 1)])
     alg = AdditiveCapacityAlgebra(5)
-    cost, path, _ = solve(g, alg, _bounds(g, alg, 2))
+    cost, path, _ = solve(_state_graph(g, alg, 2), alg)
     assert cost == 4.0
     assert path == (1,)
 
@@ -235,7 +230,7 @@ def test_solve_respects_capacity():
 def test_solve_all_infeasible():
     g = RcspGraph(3, [(0, 1), (1, 2)], 0, 2, [(1.0, 3), (1.0, 3)])
     alg = AdditiveCapacityAlgebra(5)
-    cost, path, _ = solve(g, alg, _bounds(g, alg, 1))
+    cost, path, _ = solve(_state_graph(g, alg, 1), alg)
     assert cost == math.inf and path is None
 
 
@@ -244,7 +239,7 @@ def test_negative_costs_found_exactly():
                   [(1.0, 0), (-5.0, 0), (2.0, 0), (-1.0, 0), (1.0, 0)])
     alg = AdditiveCapacityAlgebra(10)
     for tests in ALL_CONFIGS:
-        cost, path, _ = solve(g, alg, _bounds(g, alg, 2), tests=tests)
+        cost, path, _ = solve(_state_graph(g, alg, 2), alg, tests=tests)
         assert cost == -5.0
         assert path == (1, 3, 4)
 
@@ -252,11 +247,11 @@ def test_negative_costs_found_exactly():
 def test_initial_ub_is_a_strict_incumbent():
     g = RcspGraph(3, [(0, 1), (1, 2)], 0, 2, [(2.0, 0), (3.0, 0)])
     alg = AdditiveCapacityAlgebra(5)
-    b = _bounds(g, alg, 1)
-    cost, path, _ = solve(g, alg, b, initial_ub=6.0)
+    sg = _state_graph(g, alg, 1)
+    cost, path, _ = solve(sg, alg, initial_ub=6.0)
     assert cost == 5.0 and path == (0, 1)
     for ub in (5.0, 4.0):
-        cost, path, _ = solve(g, alg, b, initial_ub=ub)
+        cost, path, _ = solve(sg, alg, initial_ub=ub)
         assert cost == math.inf and path is None
 
 
@@ -271,9 +266,9 @@ def test_configs_agree_with_oracle_additive():
         if want_cost < math.inf:
             nontrivial += 1
         for kappa in (1, 2, "auto"):
-            b = _bounds(g, alg, kappa)
+            sg = _state_graph(g, alg, kappa)
             for tests in ALL_CONFIGS:
-                cost, path, _ = solve(g, alg, b, tests=tests)
+                cost, path, _ = solve(sg, alg, tests=tests)
                 assert cost == want_cost
                 if want_cost < math.inf:
                     # any reported path must be feasible and optimal
@@ -287,9 +282,9 @@ def test_configs_agree_with_oracle_pairing():
     for _ in range(30):
         g = random_pairing_dag(rng)
         want_cost, _, feas = brute_force_oracle(g, alg)
-        b = _bounds(g, alg, 2)
+        sg = _state_graph(g, alg, 2)
         for tests in ALL_CONFIGS:
-            cost, path, _ = solve(g, alg, b, tests=tests)
+            cost, path, _ = solve(sg, alg, tests=tests)
             assert cost == want_cost
             if cost < math.inf:
                 assert (path, cost) in feas
@@ -299,25 +294,15 @@ def test_pruning_only_changes_statistics():
     rng = random.Random(3)
     g = random_additive_dag(rng, capacity=6, max_v=8)
     alg = AdditiveCapacityAlgebra(6)
-    b = _bounds(g, alg, 2)
-    baseline = solve(g, alg, b, tests=())[2]
+    sg = _state_graph(g, alg, 2)
+    baseline = solve(sg, alg, tests=())[2]
     assert baseline.cut_dom == 0 and baseline.cut_low == 0
-    low_only = solve(g, alg, b, tests=("low",))[2]
+    low_only = solve(sg, alg, tests=("low",))[2]
     assert low_only.cut_dom == 0
-    dom_only = solve(g, alg, b, tests=("dom",))[2]
+    dom_only = solve(sg, alg, tests=("dom",))[2]
     assert dom_only.cut_low == 0
-    both = solve(g, alg, b, tests=("dom", "low"))[2]
+    both = solve(sg, alg, tests=("dom", "low"))[2]
     assert both.paths_enumerated <= baseline.paths_enumerated
-
-
-def test_stats_dict_shape():
-    g = RcspGraph(3, [(0, 1), (1, 2)], 0, 2, [(1.0, 0), (1.0, 0)])
-    alg = AdditiveCapacityAlgebra(3)
-    _, _, stats = solve(g, alg, _bounds(g, alg, 1))
-    d = stats.as_dict(include_timing=False)
-    assert set(d) == {"paths_enumerated", "cut_dom", "cut_low", "kappa"}
-    full = stats.as_dict()
-    assert "runtime_ms" in full and "bound_build_ms" in full
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +312,7 @@ def test_stats_dict_shape():
 def test_enumerate_below_optimum_is_empty():
     g = RcspGraph(3, [(0, 1), (1, 2)], 0, 2, [(2.0, 0), (3.0, 0)])
     alg = AdditiveCapacityAlgebra(5)
-    found, stats = enumerate_within(g, alg, _bounds(g, alg, 1), 4.9)
+    found, stats = enumerate_within(_state_graph(g, alg, 1), alg, 4.9)
     assert found == []
     assert not stats.truncated
 
@@ -343,7 +328,8 @@ def test_enumerate_matches_oracle_filter():
             continue
         costs = sorted(c for _, c in feas)
         for c_ub in (costs[0], costs[len(costs) // 2], math.inf):
-            found, stats = enumerate_within(g, alg, _bounds(g, alg, 2), c_ub)
+            sg = _state_graph(g, alg, 2)
+            found, stats = enumerate_within(sg, alg, c_ub)
             assert not stats.truncated
             want = sorted((p, c) for p, c in feas if c <= c_ub)
             got = sorted((p, c) for p, _, c in found)
@@ -358,7 +344,7 @@ def test_enumerate_matches_oracle_filter():
 def test_enumerate_truncates_at_path_limit():
     g = RcspGraph(2, [(0, 1)] * 5, 0, 1, [(float(i), 0) for i in range(5)])
     alg = AdditiveCapacityAlgebra(3)
-    found, stats = enumerate_within(g, alg, _bounds(g, alg, 2), math.inf,
+    found, stats = enumerate_within(_state_graph(g, alg, 2), alg, math.inf,
                                     path_limit=2)
     assert len(found) == 2
     assert stats.truncated
