@@ -1,10 +1,11 @@
 """Command line interface.
 
-Reports are JSON with sorted keys and no timing fields by default, so the
-same command on the same input produces byte-identical output; --stats adds
-wall-clock numbers and is therefore not reproducible. Exit codes: 0 solved,
-1 input or validation error (single "crewroute: error:" line on stderr),
-2 proven infeasible, 3 a node, path or iteration limit was hit.
+Reports are JSON with sorted keys and no timing fields, so the same command
+on the same input produces byte-identical output; per-layer wall-clock time
+comes from ``perfbench/run.py --trace 1``, which times the solver from
+outside. Exit codes: 0 solved, 1 input or validation error (single
+"crewroute: error:" line on stderr), 2 proven infeasible, 3 a node, path or
+iteration limit was hit.
 """
 
 from __future__ import annotations
@@ -67,8 +68,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_pricing(p: argparse.ArgumentParser) -> None:
     _add_common(p)
-    p.add_argument("--stats", action="store_true",
-                   help="include wall-clock statistics (not reproducible)")
     p.add_argument("--limit-paths", type=int, default=200_000,
                    help="path cap for the enumeration phase")
 
@@ -155,7 +154,7 @@ def _cmd_pair(args) -> int:
         inst, kappa=args.kappa, path_limit=args.limit_paths,
         node_limit=args.limit_nodes,
     )
-    _emit(res.as_dict(include_timing=args.stats), args.output)
+    _emit(res.as_dict(), args.output)
     return _EXIT_BY_STATUS[res.status]
 
 
@@ -166,7 +165,7 @@ def _cmd_integrated(args) -> int:
         kappa=args.kappa, path_limit=args.limit_paths,
         node_limit=args.limit_nodes,
     )
-    _emit(res.as_dict(include_timing=args.stats), args.output)
+    _emit(res.as_dict(), args.output)
     return _EXIT_BY_STATUS[res.status]
 
 

@@ -17,7 +17,6 @@ its own cut, which is asserted each iteration.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 from .instance import Connection, Instance, build_connections
@@ -38,7 +37,8 @@ class IntegratedResult:
     routing: RoutingResult | None
     log: list[dict] = field(default_factory=list)
     over_cut: bool = False
-    timing: dict = field(default_factory=dict)
+    cg_iter_total: int = 0
+    short_connections: int = 0
 
     @property
     def gap(self) -> float | None:
@@ -46,20 +46,13 @@ class IntegratedResult:
             return None
         return self.objective - self.lower_bound
 
-    def as_dict(self, include_timing: bool = False) -> dict:
+    def as_dict(self) -> dict:
         stats = {
             "integ_steps": self.iterations,
-            "cg_iter_total": self.timing.get("cg_iter_total", 0),
-            "short_connections": self.timing.get("short_connections", 0),
+            "cg_iter_total": self.cg_iter_total,
+            "short_connections": self.short_connections,
             "gap": self.gap,
         }
-        if include_timing:
-            # Wall-clock split across the loop's phases; not reproducible.
-            total = max(self.timing.get("total_ms", 0.0), 1e-9)
-            stats["total_time_ms"] = self.timing.get("total_ms", 0.0)
-            stats["cp_cg_time_frac"] = self.timing.get("cg_ms", 0.0) / total
-            stats["cp_mip_time_frac"] = self.timing.get("mip_ms", 0.0) / total
-            stats["ar_time_frac"] = self.timing.get("ar_ms", 0.0) / total
         return {
             "status": self.status,
             "objective": None if math.isinf(self.objective) else self.objective,
@@ -74,8 +67,7 @@ class IntegratedResult:
                  "rhs": c.rhs}
                 for c in self.cuts
             ],
-            "pairing": self.pairing.as_dict(include_timing)
-            if self.pairing else None,
+            "pairing": self.pairing.as_dict() if self.pairing else None,
             "routing": self.routing.as_dict() if self.routing else None,
             "stats": stats,
             "log": self.log,
@@ -115,14 +107,9 @@ def solve_integrated(
     seen: set[frozenset] = set()
     lower_bound: float | None = None
     log: list[dict] = []
-    t0 = time.perf_counter()
-    timing = {"cg_iter_total": 0, "short_connections": 0,
-              "cg_ms": 0.0, "mip_ms": 0.0, "ar_ms": 0.0}
+    cg_iter_total = 0
 
     def result(status, cp, ar, proven, over_cut=False):
-        timing["total_ms"] = (time.perf_counter() - t0) * 1000.0
-        if cp is not None:
-            timing["short_connections"] = len(short_connections_of(cp))
         return IntegratedResult(
             status=status,
             objective=cp.objective if cp and status in ("optimal", "feasible")
@@ -136,21 +123,17 @@ def solve_integrated(
             routing=ar,
             log=log,
             over_cut=over_cut,
-            timing=timing,
+            cg_iter_total=cg_iter_total,
+            short_connections=len(short_connections_of(cp)) if cp else 0,
         )
 
     for it in range(1, iteration_limit + 1):
-        t_cp = time.perf_counter()
         cp = solve_crew_pairing(
             inst, connections, cuts=tuple(cuts), kappa=kappa,
             path_limit=path_limit, node_limit=node_limit,
             max_rounds=max_rounds,
         )
-        cp_ms = (time.perf_counter() - t_cp) * 1000.0
-        mip_ms = cp.stats.get("mip_ms", 0.0)
-        timing["mip_ms"] += mip_ms
-        timing["cg_ms"] += cp_ms - mip_ms
-        timing["cg_iter_total"] += cp.iterations
+        cg_iter_total += cp.iterations
         if lower_bound is None:
             lower_bound = cp.c_lb
         entry = {"iteration": it, "cp_status": cp.status,
@@ -174,10 +157,8 @@ def solve_integrated(
 
         s = short_connections_of(cp)
         entry["n_short_used"] = len(s)
-        t_ar = time.perf_counter()
         ar = solve_routing(inst, connections, forced=sorted(s),
                            node_limit=node_limit)
-        timing["ar_ms"] += (time.perf_counter() - t_ar) * 1000.0
         entry["ar_status"] = ar.status
         if ar.status == "optimal":
             log.append(entry)

@@ -19,7 +19,6 @@ reduced-cost completion threshold valid.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 from ..instance import Connection, Instance, build_connections
@@ -54,19 +53,9 @@ class PairingResult:
     truncated: bool
     stats: dict = field(default_factory=dict)
 
-    def as_dict(self, include_timing: bool = False) -> dict:
+    def as_dict(self) -> dict:
         stats = dict(self.stats)
         stats["cg_iterations"] = stats.pop("pricing_rounds", self.iterations)
-        runtime = stats.pop("runtime_ms", 0.0)
-        sections = {k: stats.pop(k, 0.0)
-                    for k in ("pricing_ms", "lp_ms", "mip_ms")}
-        if include_timing:
-            # Wall-clock shares of the three phases; not reproducible.
-            total = max(runtime, 1e-9)
-            stats["runtime_ms"] = runtime
-            stats["pricing_time_frac"] = sections["pricing_ms"] / total
-            stats["lp_time_frac"] = sections["lp_ms"] / total
-            stats["mip_time_frac"] = sections["mip_ms"] / total
         return {
             "status": self.status,
             "objective": None if math.isinf(self.objective) else self.objective,
@@ -135,7 +124,6 @@ def solve_crew_pairing(
     node_limit: int = 200_000,
     max_rounds: int = 500,
 ) -> PairingResult:
-    t0 = time.perf_counter()
     if connections is None:
         connections = build_connections(inst)
     rules = inst.rules
@@ -160,42 +148,26 @@ def solve_crew_pairing(
         "cut_dom": 0,
         "cut_low": 0,
         "kappa": [p.state_graph.kappa for p in pricers],
-        "pricing_ms": 0.0,
-        "lp_ms": 0.0,
-        "mip_ms": 0.0,
     }
-
-    def run_windows(fn):
-        t = time.perf_counter()
-        out = [fn(p) for p in pricers]
-        stats["pricing_ms"] += (time.perf_counter() - t) * 1000.0
-        return out
 
     def tally(st):
         stats["paths_enumerated"] += st.paths_enumerated
         stats["cut_dom"] += st.cut_dom
         stats["cut_low"] += st.cut_low
 
-    def master_lp():
-        t = time.perf_counter()
-        relax = {v: (0.0, math.inf) for v in master.col_vars}
-        sol = solve_lp(master.lp, bound_overrides=relax)
-        stats["lp_ms"] += (time.perf_counter() - t) * 1000.0
-        if sol.status != LpStatus.OPTIMAL:
-            raise RuntimeError(f"master LP ended {sol.status.value}")
-        return sol
-
-    def master_mip():
-        t = time.perf_counter()
-        out = solve_mip(master.lp, node_limit=node_limit)
-        stats["mip_ms"] += (time.perf_counter() - t) * 1000.0
-        return out
-
-    def finish(result: PairingResult) -> PairingResult:
-        stats["runtime_ms"] = (time.perf_counter() - t0) * 1000.0
-        result.n_columns = len(master.columns)
-        result.stats = stats
-        return result
+    def result(status, c_lb, c_ub, truncated, proven=False, mip=None,
+               uncovered=()):
+        """The report; ``mip`` is the final solve when it picked pairings."""
+        pairings = [] if mip is None else sorted(master.selected(mip.x),
+                                                 key=lambda p: p.legs)
+        return PairingResult(
+            status=status,
+            objective=math.inf if mip is None else mip.objective,
+            c_lb=c_lb, c_ub_initial=c_ub, provably_optimal=proven,
+            pairings=pairings, uncovered_legs=list(uncovered),
+            iterations=stats["pricing_rounds"], n_columns=len(master.columns),
+            truncated=truncated, stats=stats,
+        )
 
     def check_column(col: PairingColumn, model_cost: float, duals) -> None:
         rc = master.reduced_cost(col, duals)
@@ -209,15 +181,18 @@ def solve_crew_pairing(
     lp_sol = None
     converged = False
     while stats["pricing_rounds"] < max_rounds:
-        lp_sol = master_lp()
+        relax = {v: (0.0, math.inf) for v in master.col_vars}
+        lp_sol = solve_lp(master.lp, bound_overrides=relax)
+        if lp_sol.status != LpStatus.OPTIMAL:
+            raise RuntimeError(f"master LP ended {lp_sol.status.value}")
         stats["lp_values"].append(lp_sol.objective)
         stats["pricing_rounds"] += 1
         leg_duals, mu, nu, sigma = master.duals_of(lp_sol.duals)
         algebra = base_algebra.with_duals(mu, nu, sigma)
 
-        priced = run_windows(lambda p: p.reprice(algebra, leg_duals))
         added = 0
-        for pricer, (cost, path, st) in zip(pricers, priced):
+        for pricer in pricers:
+            cost, path, st = pricer.reprice(algebra, leg_duals)
             tally(st)
             if path is None or cost >= -PRICING_TOL:
                 continue
@@ -233,11 +208,7 @@ def solve_crew_pairing(
             break
 
     if not converged:
-        return finish(PairingResult(
-            status="limit", objective=math.inf, c_lb=None, c_ub_initial=None,
-            provably_optimal=False, pairings=[], uncovered_legs=[],
-            iterations=stats["pricing_rounds"], n_columns=0, truncated=True,
-        ))
+        return result("limit", None, None, truncated=True)
 
     c_lb = lp_sol.objective
     final_duals = lp_sol.duals
@@ -246,21 +217,13 @@ def solve_crew_pairing(
     # LP relaxes the integer problem, so this is a proof of infeasibility.
     lp_uncovered = master.active_artificials(lp_sol.x)
     if lp_uncovered:
-        return finish(PairingResult(
-            status="infeasible", objective=math.inf, c_lb=c_lb,
-            c_ub_initial=None, provably_optimal=True, pairings=[],
-            uncovered_legs=lp_uncovered, iterations=stats["pricing_rounds"],
-            n_columns=0, truncated=False,
-        ))
+        return result("infeasible", c_lb, None, truncated=False, proven=True,
+                      uncovered=lp_uncovered)
 
     # Step 4: first integer solve gives the upper bound.
-    mip1 = master_mip()
+    mip1 = solve_mip(master.lp, node_limit=node_limit)
     if mip1.status == MipStatus.NODE_LIMIT and mip1.x is None:
-        return finish(PairingResult(
-            status="limit", objective=math.inf, c_lb=c_lb, c_ub_initial=None,
-            provably_optimal=False, pairings=[], uncovered_legs=[],
-            iterations=stats["pricing_rounds"], n_columns=0, truncated=True,
-        ))
+        return result("limit", c_lb, None, truncated=True)
     if mip1.status == MipStatus.INFEASIBLE:
         raise RuntimeError("master with artificial columns cannot be infeasible")
     c_ub = mip1.objective
@@ -269,8 +232,8 @@ def solve_crew_pairing(
     # Step 5: enumerate every column whose reduced cost under the converged
     # duals is within the optimality gap.
     threshold = (c_ub - c_lb) + COMPLETION_PAD
-    completion = run_windows(lambda p: p.enumerate(threshold, path_limit))
-    for pricer, (entries, st) in zip(pricers, completion):
+    for pricer in pricers:
+        entries, st = pricer.enumerate(threshold, path_limit)
         tally(st)
         truncated = truncated or st.truncated
         for path, _q, cost in entries:
@@ -282,41 +245,20 @@ def solve_crew_pairing(
             stats["columns_completion"] += 1
 
     # Step 6: final integer solve over the completed pool.
-    mip2 = master_mip()
+    mip2 = solve_mip(master.lp, node_limit=node_limit)
     if mip2.status == MipStatus.INFEASIBLE:
         raise RuntimeError("master with artificial columns cannot be infeasible")
     if mip2.x is None:
-        return finish(PairingResult(
-            status="limit", objective=math.inf, c_lb=c_lb, c_ub_initial=c_ub,
-            provably_optimal=False, pairings=[], uncovered_legs=[],
-            iterations=stats["pricing_rounds"], n_columns=0, truncated=True,
-        ))
+        return result("limit", c_lb, c_ub, truncated=True)
     truncated = truncated or mip2.status == MipStatus.NODE_LIMIT
 
     uncovered = master.active_artificials(mip2.x)
     if uncovered:
         # No integer cover exists among all columns within the threshold; if
         # nothing was truncated this proves the instance has no crew solution.
-        return finish(PairingResult(
-            status="infeasible" if not truncated else "limit",
-            objective=math.inf, c_lb=c_lb, c_ub_initial=c_ub,
-            provably_optimal=not truncated, pairings=[],
-            uncovered_legs=uncovered, iterations=stats["pricing_rounds"],
-            n_columns=0, truncated=truncated,
-        ))
+        return result("infeasible" if not truncated else "limit", c_lb, c_ub,
+                      truncated, proven=not truncated, uncovered=uncovered)
 
-    pairings = master.selected(mip2.x)
-    pairings.sort(key=lambda p: p.legs)
     proven = (not truncated) and mip2.status == MipStatus.OPTIMAL
-    return finish(PairingResult(
-        status="optimal" if proven else "feasible",
-        objective=mip2.objective,
-        c_lb=c_lb,
-        c_ub_initial=c_ub,
-        provably_optimal=proven,
-        pairings=pairings,
-        uncovered_legs=[],
-        iterations=stats["pricing_rounds"],
-        n_columns=0,
-        truncated=truncated,
-    ))
+    return result("optimal" if proven else "feasible", c_lb, c_ub, truncated,
+                  proven=proven, mip=mip2)

@@ -74,6 +74,17 @@ class MasterProblem:
         if col.legs in self._seen:
             raise ValueError("duplicate pairing column")
         self._seen.add(col.legs)
+        var = self.lp.add_variable(obj=col.cost, binary=True,
+                                   name=f"p{len(self.columns)}")
+        for row, coef in self._coefficients(col).items():
+            self.lp.set_coefficient(row, var, coef)
+        self.columns.append(col)
+        self.col_vars.append(var)
+        return var
+
+    def _coefficients(self, col: PairingColumn) -> dict[int, float]:
+        """The column's row coefficients in row order; cuts it misses are
+        left out."""
         rules = self.inst.rules
         coefs = {self.cover_row[leg]: 1.0 for leg in col.legs}
         coefs[self.alpha_row] = (1.0 if col.is_long else 0.0) - rules.alpha
@@ -84,13 +95,7 @@ class MasterProblem:
             n = len(shorts & cut.conns)
             if n:
                 coefs[row] = float(n)
-        var = self.lp.add_variable(obj=col.cost, binary=True,
-                                   name=f"p{len(self.columns)}")
-        for row, coef in coefs.items():
-            self.lp.set_coefficient(row, var, coef)
-        self.columns.append(col)
-        self.col_vars.append(var)
-        return var
+        return coefs
 
     def duals_of(self, duals) -> tuple[dict[int, float], float, float, tuple]:
         """Split a dual vector into (leg duals, alpha, beta, cut duals)."""
@@ -99,17 +104,10 @@ class MasterProblem:
         return legs, duals[self.alpha_row], duals[self.beta_row], sig
 
     def reduced_cost(self, col: PairingColumn, duals) -> float:
-        """Column reduced cost straight from master coefficients."""
-        rules = self.inst.rules
+        """Column reduced cost from the coefficients ``add_column`` writes."""
         rc = col.cost
-        for leg in col.legs:
-            rc -= duals[self.cover_row[leg]]
-        rc -= duals[self.alpha_row] * ((1.0 if col.is_long else 0.0) - rules.alpha)
-        rc -= duals[self.beta_row] * ((1.0 - rules.beta) * col.n_long_duties
-                                      - rules.beta * col.n_short_duties)
-        shorts = set(col.shorts)
-        for row, cut in zip(self.cut_rows, self.cuts):
-            rc -= duals[row] * len(shorts & cut.conns)
+        for row, coef in self._coefficients(col).items():
+            rc -= duals[row] * coef
         return rc
 
     def selected(self, x) -> list[PairingColumn]:

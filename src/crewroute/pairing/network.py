@@ -32,7 +32,13 @@ from ..instance import (
     Instance,
 )
 from ..rcsp import RcspGraph
-from .algebra import LONG_DUTY_LEGS, PairingAlgebra, multi_core, one_core
+from .algebra import (
+    LONG_DUTY_LEGS,
+    LONG_PAIRING_NIGHTS,
+    PairingAlgebra,
+    multi_core,
+    one_core,
+)
 
 
 @dataclass(frozen=True)
@@ -56,7 +62,7 @@ class PairingColumn:
 
     @property
     def is_long(self) -> bool:
-        return self.nights >= 3
+        return self.nights >= LONG_PAIRING_NIGHTS
 
 
 @dataclass

@@ -209,21 +209,18 @@ class StateGraph:
     the state graph is deterministic once the state of the next vertex is
     known, which is what makes the backward DP bounds sound.
 
-    ``bounds`` holds one suffix bound per state. Their structures are fixed
-    at build time; ``update_bounds`` rewrites their scalars in place.
+    States are numbered in reverse topological order of their vertices, so
+    every state arc leads to a lower-numbered state and the bound DPs run
+    over the states by number. ``bounds`` holds one suffix bound per state.
+    Their structures are fixed at build time; ``update_bounds`` rewrites
+    their scalars in place.
     """
 
     graph: RcspGraph
     kappa: int
     states_of: list[list[int]]
-    state_vertex: list[int]
     state_arcs: list[list[tuple[int, int]]]
-    order: list[int]
     bounds: list
-
-    @property
-    def n_states(self) -> int:
-        return len(self.state_vertex)
 
     def at(self, vertex: int) -> list:
         """The bounds of the vertex's states."""
@@ -309,19 +306,13 @@ def build_state_graph(graph: RcspGraph, algebra, kappa: int | str) -> StateGraph
     if kap < 1:
         raise ValueError("kappa must be at least 1")
     states_of: list[list[int]] = [[] for _ in range(graph.n_vertices)]
-    state_vertex: list[int] = []
     state_arcs: list[list[tuple[int, int]]] = []
     est: list = []
-    order: list[int] = []
 
     def new_state(v, arcs, bound):
-        sid = len(state_vertex)
-        state_vertex.append(v)
+        states_of[v].append(len(state_arcs))
         state_arcs.append(arcs)
         est.append(bound)
-        states_of[v].append(sid)
-        order.append(sid)
-        return sid
 
     if graph.dest in graph.kept:
         new_state(graph.dest, [], algebra.neutral)
@@ -346,9 +337,7 @@ def build_state_graph(graph: RcspGraph, algebra, kappa: int | str) -> StateGraph
         graph=graph,
         kappa=kap,
         states_of=states_of,
-        state_vertex=state_vertex,
         state_arcs=state_arcs,
-        order=order,
         bounds=est,
     )
 
@@ -359,13 +348,13 @@ def compute_bounds(sg: StateGraph, algebra) -> list:
     The full-resource reference for ``update_bounds``; returns one bound per
     state and leaves ``sg.bounds`` as it is."""
     resources = sg.graph.resources
-    values = [None] * sg.n_states
-    for sid in sg.order:
-        if not sg.state_arcs[sid]:
+    values = [None] * len(sg.state_arcs)
+    for sid, arcs in enumerate(sg.state_arcs):
+        if not arcs:
             values[sid] = algebra.neutral
             continue
         acc = None
-        for aid, nxt in sg.state_arcs[sid]:
+        for aid, nxt in arcs:
             q = algebra.combine(resources[aid], values[nxt])
             acc = q if acc is None else algebra.meet(acc, q)
         values[sid] = acc
@@ -382,9 +371,8 @@ def update_bounds(sg: StateGraph, arc_scalar, algebra) -> None:
     resources bit for bit. The bounds are rewritten in place.
     """
     bounds = sg.bounds
-    scalars = [0.0] * sg.n_states
-    for sid in sg.order:
-        arcs = sg.state_arcs[sid]
+    scalars = [0.0] * len(sg.state_arcs)
+    for sid, arcs in enumerate(sg.state_arcs):
         if not arcs:
             scalars[sid] = algebra.scalar(bounds[sid])
             continue

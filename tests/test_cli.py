@@ -60,10 +60,16 @@ def test_route_rejects_pairing_flags(capsys, toy2_path, flag):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("command", ["pair", "integrated"])
-def test_jobs_flag_is_a_usage_error(capsys, toy2_path, command):
+@pytest.mark.parametrize("command, flag", [
+    pytest.param("pair", ["--jobs", "2"], id="pair"),
+    pytest.param("integrated", ["--jobs", "2"], id="integrated"),
+    pytest.param("pair", ["--stats"], id="pair-stats"),
+    pytest.param("integrated", ["--stats"], id="integrated-stats"),
+])
+def test_jobs_flag_is_a_usage_error(capsys, toy2_path, command, flag):
+    """The deleted --jobs and --stats options are usage errors."""
     with pytest.raises(SystemExit) as exc:
-        main([command, toy2_path, "--jobs", "2"])
+        main([command, toy2_path] + flag)
     assert exc.value.code == 2
 
 
@@ -186,14 +192,6 @@ def test_reports_are_byte_identical_without_stats(capsys, tmp_path):
         _, again, _ = _run(capsys, argv)
         assert first == again
         json.loads(first)
-
-
-def test_stats_flag_adds_timing(capsys, toy2_path):
-    _, out, _ = _run(capsys, ["pair", toy2_path, "--stats"])
-    stats = json.loads(out)["stats"]
-    assert "runtime_ms" in stats
-    _, out, _ = _run(capsys, ["integrated", toy2_path, "--stats"])
-    assert "total_time_ms" in json.loads(out)["stats"]
 
 
 @pytest.mark.parametrize("gamma", ["0", "-1", "1.5", "nan"])
