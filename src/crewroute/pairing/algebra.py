@@ -24,6 +24,7 @@ reduced cost of the priced pairing column.
 from __future__ import annotations
 
 import math
+from operator import add, le
 
 from ..rcsp import ResourceAlgebra
 
@@ -70,6 +71,7 @@ class PairingAlgebra(ResourceAlgebra):
         if len(sig) != n_cuts:
             raise ValueError("cut dual vector length mismatch")
         self.cut_duals = tuple(min(s, 0.0) for s in sig)
+        self._mu_alpha = self.mu * alpha
         self._neutral = (one_core(0, 0), 0.0, 0, 0, 0, (0,) * n_cuts)
 
     def with_duals(self, mu: float, nu: float,
@@ -81,47 +83,6 @@ class PairingAlgebra(ResourceAlgebra):
         )
 
     # -- core operations ----------------------------------------------------
-
-    def _core_combine(self, c1: tuple, c2: tuple) -> tuple:
-        t1, t2 = c1[0], c2[0]
-        if t1 == 0 or t2 == 0:
-            return BOT
-        if t1 == 3 or t2 == 3:
-            return TOP
-        if t1 == 1 and t2 == 1:
-            return (1, c1[1] + c2[1], c1[2] + c2[2])
-        if t1 == 1:
-            return (2, c1[1] + c2[1], c1[2] + c2[2], c2[3], c2[4], c2[5])
-        if t2 == 1:
-            return (2, c1[1], c1[2], c1[3] + c2[1], c1[4] + c2[2], c1[5])
-        legs = c1[3] + c2[1]
-        fly = c1[4] + c2[2]
-        if legs > self.max_duty_legs or fly > self.f_max:
-            return TOP
-        long_mid = c1[5] + c2[5] + (1 if legs > LONG_DUTY_LEGS else 0)
-        return (2, c1[1], c1[2], c2[3], c2[4], long_mid)
-
-    @staticmethod
-    def _core_leq(c1: tuple, c2: tuple) -> bool:
-        t1, t2 = c1[0], c2[0]
-        if t1 == 0 or t2 == 3:
-            return True
-        if t2 == 0 or t1 == 3 or t1 != t2:
-            return False
-        return all(a <= b for a, b in zip(c1[1:], c2[1:]))
-
-    @staticmethod
-    def _core_meet(c1: tuple, c2: tuple) -> tuple:
-        t1, t2 = c1[0], c2[0]
-        if t1 == 0 or t2 == 0:
-            return BOT
-        if t1 == 3:
-            return c2
-        if t2 == 3:
-            return c1
-        if t1 != t2:
-            return BOT
-        return (t1,) + tuple(min(a, b) for a, b in zip(c1[1:], c2[1:]))
 
     @staticmethod
     def _core_join(c1: tuple, c2: tuple) -> tuple:
@@ -136,52 +97,79 @@ class PairingAlgebra(ResourceAlgebra):
             return TOP
         return (t1,) + tuple(max(a, b) for a, b in zip(c1[1:], c2[1:]))
 
-    def _g(self, core: tuple) -> int:
-        """Number of long duties certified by the core (TOP handled by cost)."""
-        t = core[0]
-        if t == 0:
-            return 0
-        if t == 1:
-            return 1 if core[1] > LONG_DUTY_LEGS else 0
-        return (core[5]
-                + (1 if core[1] > LONG_DUTY_LEGS else 0)
-                + (1 if core[3] > LONG_DUTY_LEGS else 0))
-
     # -- monoid and lattice interface ----------------------------------------
+    #
+    # combine, leq, meet, cost and completion_cost run in the pricing hot
+    # loops, so the core cases are written out inline. ``b if b < a else a``
+    # is exactly ``min(a, b)`` (and ``b if b > a else a`` is ``max``), NaN
+    # and signed zeros included.
 
     def combine(self, q1, q2):
-        return (
-            self._core_combine(q1[0], q2[0]),
-            q1[1] + q2[1],
-            q1[2] + q2[2],
-            q1[3] + q2[3],
-            q1[4] + q2[4],
-            tuple(a + b for a, b in zip(q1[5], q2[5])),
-        )
+        c1, z1, n1, r1, f1, k1 = q1
+        c2, z2, n2, r2, f2, k2 = q2
+        t1, t2 = c1[0], c2[0]
+        if t1 == 0 or t2 == 0:
+            core = BOT
+        elif t1 == 3 or t2 == 3:
+            core = TOP
+        elif t1 == 1:
+            if t2 == 1:
+                core = (1, c1[1] + c2[1], c1[2] + c2[2])
+            else:
+                core = (2, c1[1] + c2[1], c1[2] + c2[2], c2[3], c2[4], c2[5])
+        elif t2 == 1:
+            core = (2, c1[1], c1[2], c1[3] + c2[1], c1[4] + c2[2], c1[5])
+        else:
+            legs = c1[3] + c2[1]
+            if legs > self.max_duty_legs or c1[4] + c2[2] > self.f_max:
+                core = TOP
+            else:
+                core = (2, c1[1], c1[2], c2[3], c2[4],
+                        c1[5] + c2[5] + (1 if legs > LONG_DUTY_LEGS else 0))
+        return (core, z1 + z2, n1 + n2, r1 + r2, f1 + f2,
+                tuple(map(add, k1, k2)) if k1 else k1)
 
     @property
     def neutral(self):
         return self._neutral
 
     def leq(self, q1, q2) -> bool:
-        return (
-            self._core_leq(q1[0], q2[0])
-            and q1[1] <= q2[1]
-            and q1[2] <= q2[2]
-            and q1[3] >= q2[3]
-            and q1[4] <= q2[4]
-            and all(a <= b for a, b in zip(q1[5], q2[5]))
-        )
+        if not (q1[1] <= q2[1] and q1[2] <= q2[2] and q1[3] >= q2[3]
+                and q1[4] <= q2[4]):
+            return False
+        c1, c2 = q1[0], q2[0]
+        t1, t2 = c1[0], c2[0]
+        # BOT is below and TOP above every core; otherwise the types must
+        # agree (which rules out BOT on the right and TOP on the left)
+        if t1 != 0 and t2 != 3:
+            if t1 != t2:
+                return False
+            if t1 == 1:
+                if not (c1[1] <= c2[1] and c1[2] <= c2[2]):
+                    return False
+            elif not (c1[1] <= c2[1] and c1[2] <= c2[2] and c1[3] <= c2[3]
+                      and c1[4] <= c2[4] and c1[5] <= c2[5]):
+                return False
+        k1 = q1[5]
+        return all(map(le, k1, q2[5])) if k1 else True
 
     def meet(self, q1, q2):
-        return (
-            self._core_meet(q1[0], q2[0]),
-            min(q1[1], q2[1]),
-            min(q1[2], q2[2]),
-            max(q1[3], q2[3]),
-            min(q1[4], q2[4]),
-            tuple(min(a, b) for a, b in zip(q1[5], q2[5])),
-        )
+        c1, z1, n1, r1, f1, k1 = q1
+        c2, z2, n2, r2, f2, k2 = q2
+        t1, t2 = c1[0], c2[0]
+        if t1 == 0 or t2 == 0:
+            core = BOT
+        elif t1 == 3:
+            core = c2
+        elif t2 == 3:
+            core = c1
+        elif t1 != t2:
+            core = BOT
+        else:
+            core = tuple(map(min, c1, c2))
+        return (core, z2 if z2 < z1 else z1, n2 if n2 < n1 else n1,
+                r2 if r2 > r1 else r1, f2 if f2 < f1 else f1,
+                tuple(map(min, k1, k2)) if k1 else k1)
 
     def join(self, q1, q2):
         return (
@@ -195,16 +183,77 @@ class PairingAlgebra(ResourceAlgebra):
 
     def cost(self, q) -> float:
         core, z, nights, rests, _fly, cuts = q
-        if core[0] == 3:
+        t = core[0]
+        if t == 3:
             return math.inf
-        c = z + self.mu * self.alpha
+        c = z + self._mu_alpha
         if nights >= LONG_PAIRING_NIGHTS:
             c -= self.mu
-        c -= self.nu * (self._g(core) - self.beta * (rests + 1))
-        for s, k in zip(self.cut_duals, cuts):
-            if k:
-                c -= s * k
+        if t == 0:
+            g = 0
+        elif t == 1:
+            g = 1 if core[1] > LONG_DUTY_LEGS else 0
+        else:
+            g = (core[5] + (1 if core[1] > LONG_DUTY_LEGS else 0)
+                 + (1 if core[3] > LONG_DUTY_LEGS else 0))
+        c -= self.nu * (g - self.beta * (rests + 1))
+        if cuts:
+            for s, k in zip(self.cut_duals, cuts):
+                if k:
+                    c -= s * k
         return c
+
+    def completion_cost(self, q, bounds, states) -> float:
+        """``ResourceAlgebra.completion_cost`` in one pass, bit for bit.
+
+        For each bound the type, feasibility and long-duty count of the
+        combined core are worked out without building it, and the cost is
+        summed in the float order of ``cost(combine(q, b))``."""
+        qc, zq, nq, rq, _fly, kq = q
+        tq = qc[0]
+        max_legs, f_max = self.max_duty_legs, self.f_max
+        mu, mu_alpha, nu, beta = self.mu, self._mu_alpha, self.nu, self.beta
+        cut_duals = self.cut_duals if kq else ()
+        # The open duty of q that the bound's first duty extends, and the
+        # long duties q certifies before it. Against any bound but BOT,
+        # q is dead when it is TOP or its closed first duty breaks a limit.
+        dead = tq == 3
+        open_legs = open_fly = q_long = 0
+        if tq == 1:
+            open_legs, open_fly = qc[1], qc[2]
+        elif tq == 2:
+            dead = qc[1] > max_legs or qc[2] > f_max
+            open_legs, open_fly = qc[3], qc[4]
+            q_long = qc[5] + (1 if qc[1] > LONG_DUTY_LEGS else 0)
+        best = math.inf
+        for s in states:
+            bc, zb, nb, rb, _, kb = bounds[s]
+            tb = bc[0]
+            if tq == 0 or tb == 0:
+                g = 0
+            elif dead or tb == 3:
+                continue
+            else:
+                legs = open_legs + bc[1]
+                if legs > max_legs or open_fly + bc[2] > f_max:
+                    continue
+                g = q_long + (1 if legs > LONG_DUTY_LEGS else 0)
+                if tb == 2:
+                    if bc[3] > max_legs or bc[4] > f_max:
+                        continue
+                    g += bc[5] + (1 if bc[3] > LONG_DUTY_LEGS else 0)
+            c = (zq + zb) + mu_alpha
+            if nq + nb >= LONG_PAIRING_NIGHTS:
+                c -= mu
+            c -= nu * (g - beta * (rq + rb + 1))
+            if cut_duals:
+                for sig, ka, kc in zip(cut_duals, kq, kb):
+                    k = ka + kc
+                    if k:
+                        c -= sig * k
+            if c < best:
+                best = c
+        return best
 
     def infeasible(self, q) -> bool:
         core = q[0]
@@ -235,6 +284,16 @@ class PairingAlgebra(ResourceAlgebra):
     # -- exact column coefficients for complete paths ------------------------
 
     def n_long_duties(self, q) -> int:
-        if q[0][0] == 3:
+        """Number of long duties certified by the core, as ``cost`` counts
+        them."""
+        core = q[0]
+        t = core[0]
+        if t == 3:
             raise ValueError("infeasible resource has no duty count")
-        return self._g(q[0])
+        if t == 0:
+            return 0
+        if t == 1:
+            return 1 if core[1] > LONG_DUTY_LEGS else 0
+        return (core[5]
+                + (1 if core[1] > LONG_DUTY_LEGS else 0)
+                + (1 if core[3] > LONG_DUTY_LEGS else 0))

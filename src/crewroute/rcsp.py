@@ -74,6 +74,21 @@ class ResourceAlgebra:
         """True when the structure alone makes the cost +inf."""
         raise NotImplementedError
 
+    def completion_cost(self, q, bounds, states) -> float:
+        """The search key of a label: the least cost of a feasible
+        ``combine(q, bounds[s])`` over ``s`` in ``states``, +inf if none.
+
+        The reference; an algebra may override it with a fused loop that
+        returns the same float bit for bit."""
+        best = math.inf
+        for s in states:
+            qb = self.combine(q, bounds[s])
+            if not self.infeasible(qb):
+                c = self.cost(qb)
+                if c < best:
+                    best = c
+        return best
+
 
 class AdditiveCapacityAlgebra(ResourceAlgebra):
     """Plain (cost, load) resources: componentwise sums, capacity on load."""
@@ -114,9 +129,15 @@ class AdditiveCapacityAlgebra(ResourceAlgebra):
 
 
 def resolve_kappa(kappa: int | str, n_vertices: int) -> int:
-    """Apply the size-based default when kappa is 'auto'."""
+    """Apply the size-based default when kappa is 'auto'.
+
+    Any other value must be an integer; a bool or a float is a ValueError,
+    never truncated."""
     if kappa != "auto":
-        return int(kappa)
+        if isinstance(kappa, bool) or not isinstance(kappa, int):
+            raise ValueError(f"kappa must be an integer or 'auto', "
+                             f"not {kappa!r}")
+        return kappa
     if n_vertices < 100:
         return 1
     if n_vertices < 300:
@@ -237,6 +258,9 @@ def _cluster_candidates(ests, algebra, kappa):
     n = len(ests)
     if n <= kappa:
         return [[i] for i in range(n)]
+    if kappa == 1:
+        # the merge below ends in one cluster holding every candidate
+        return [list(range(n))]
     scalars = [algebra.scalar(b) for b in ests]
     tops = [algebra.is_top(b) for b in ests]
     costs = [math.inf if t else x for x, t in zip(scalars, tops)]
@@ -411,18 +435,6 @@ class SolveStats:
     truncated: bool = False
 
 
-def _key_of(q, vertex, algebra, sg: StateGraph) -> float:
-    bounds = sg.bounds
-    best = math.inf
-    for s in sg.states_of[vertex]:
-        qb = algebra.combine(q, bounds[s])
-        if not algebra.infeasible(qb):
-            c = algebra.cost(qb)
-            if c < best:
-                best = c
-    return best
-
-
 def solve(
     sg: StateGraph,
     algebra,
@@ -452,7 +464,9 @@ def solve(
 
     root = PartialPath(graph.origin, algebra.neutral, None, None)
     seq = 0
-    heap = [(_key_of(root.resource, graph.origin, algebra, sg), seq, root)]
+    key = algebra.completion_cost(root.resource, sg.bounds,
+                                  sg.states_of[graph.origin])
+    heap = [(key, seq, root)]
     nondom: dict[int, list] = {}
 
     while heap:
@@ -484,9 +498,9 @@ def solve(
                 continue
             seq += 1
             child = PartialPath(head, q2, lab, aid)
-            heapq.heappush(
-                heap, (_key_of(q2, head, algebra, sg), seq, child)
-            )
+            child_key = algebra.completion_cost(q2, sg.bounds,
+                                                sg.states_of[head])
+            heapq.heappush(heap, (child_key, seq, child))
 
     if best is None:
         return math.inf, None, stats
@@ -512,7 +526,9 @@ def enumerate_within(
 
     root = PartialPath(graph.origin, algebra.neutral, None, None)
     seq = 0
-    heap = [(_key_of(root.resource, graph.origin, algebra, sg), seq, root)]
+    key = algebra.completion_cost(root.resource, sg.bounds,
+                                  sg.states_of[graph.origin])
+    heap = [(key, seq, root)]
     while heap:
         key, _, lab = heapq.heappop(heap)
         stats.paths_enumerated += 1
@@ -535,9 +551,9 @@ def enumerate_within(
                 continue
             seq += 1
             child = PartialPath(head, q2, lab, aid)
-            heapq.heappush(
-                heap, (_key_of(q2, head, algebra, sg), seq, child)
-            )
+            child_key = algebra.completion_cost(q2, sg.bounds,
+                                                sg.states_of[head])
+            heapq.heappush(heap, (child_key, seq, child))
     return found, stats
 
 

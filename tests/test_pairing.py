@@ -387,6 +387,20 @@ def test_colgen_kappa_does_not_change_the_optimum():
     assert res1.objective == pytest.approx(res50.objective, abs=1e-6)
 
 
+@pytest.mark.parametrize("kappa,counts", [(50, (513, 3, 387)),
+                                          (1, (1175, 18, 820))])
+def test_pricing_search_order_is_pinned(kappa, counts):
+    # Exact label counts of one pricing round on a 60-leg week: a kernel
+    # change that reorders the search (a different key, bound or clustering)
+    # moves them. Round 1 prices under the all-artificial duals, so the LP's
+    # floating-point rounding does not enter.
+    from crewroute.generate import generate_instance
+
+    inst = generate_instance(6, 2, 60, 6, 7)
+    st = solve_crew_pairing(inst, kappa=kappa, max_rounds=1).stats
+    assert (st["paths_enumerated"], st["cut_dom"], st["cut_low"]) == counts
+
+
 def test_colgen_lp_values_non_increasing(toy2):
     from crewroute.generate import generate_instance
 

@@ -24,7 +24,7 @@ from crewroute.pairing.algebra import (
     multi_core,
     one_core,
 )
-from crewroute.rcsp import AdditiveCapacityAlgebra
+from crewroute.rcsp import AdditiveCapacityAlgebra, ResourceAlgebra
 
 
 def _alg(**kw) -> PairingAlgebra:
@@ -273,3 +273,37 @@ def test_scalar_split_laws_random():
         q1 = (dyadic(rng), rng.randrange(0, 9))
         q2 = (dyadic(rng), rng.randrange(0, 9))
         _check_split(add, add, q1, q2, dyadic(rng), dyadic(rng))
+
+
+def _off_grid(rng, q):
+    """q with a z that is not a dyadic rational, so float order shows."""
+    return q[:1] + (rng.uniform(-40.0, 40.0),) + q[2:]
+
+
+def test_completion_cost_matches_reference_bit_for_bit():
+    # the fused loop must return the reference's float exactly: cores of
+    # every type (BOT, TOP, overflowing ones), cut counts, empty bound lists,
+    # and duals and costs off the dyadic grid, where any change in the order
+    # of the float operations would show in the last bits
+    rng = random.Random(31)
+    for trial in range(300):
+        n_cuts = rng.choice((0, 1, 2, 3))
+        if trial % 3:
+            alg = small_pairing_algebra(rng, n_cuts=n_cuts)
+        else:
+            alg = PairingAlgebra(
+                4, 480, rng.random(), rng.random(), n_cuts=n_cuts,
+                mu=-rng.uniform(0, 50), nu=-rng.uniform(0, 50),
+                cut_duals=tuple(-rng.uniform(0, 20) for _ in range(n_cuts)))
+        bounds = [random_resource(rng, n_cuts) for _ in range(60)]
+        bounds += [_off_grid(rng, q) for q in bounds[:30]]
+        for _ in range(10):
+            q = random_resource(rng, n_cuts)
+            if rng.random() < 0.5:
+                q = _off_grid(rng, q)
+            for k in (0, 1, 2, rng.randrange(3, 61)):
+                states = rng.sample(range(len(bounds)), k)
+                got = alg.completion_cost(q, bounds, states)
+                want = ResourceAlgebra.completion_cost(alg, q, bounds, states)
+                assert repr(got) == repr(want), (q, states)
+    assert alg.completion_cost(q, bounds, []) == math.inf

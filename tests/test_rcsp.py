@@ -47,6 +47,16 @@ def test_resolve_kappa_auto_thresholds():
     assert resolve_kappa(7, 10) == 7
 
 
+@pytest.mark.parametrize("kappa", [2.7, 1.0, True, False, "7", None])
+def test_resolve_kappa_rejects_non_integers(kappa):
+    # the instance loader's rule: an integer or "auto", never truncated
+    with pytest.raises(ValueError):
+        resolve_kappa(kappa, 10)
+    g = RcspGraph(2, [(0, 1)], 0, 1, [(1.0, 0)])
+    with pytest.raises(ValueError):
+        build_state_graph(g, AdditiveCapacityAlgebra(1), kappa)
+
+
 def test_graph_validation():
     with pytest.raises(ValueError, match="directed cycle"):
         RcspGraph(3, [(0, 1), (1, 2), (2, 0)], 0, 2, [(0.0, 0)] * 3)
@@ -156,6 +166,14 @@ def test_state_count_never_exceeds_kappa():
             sg = build_state_graph(g, AdditiveCapacityAlgebra(6), kappa)
             assert all(len(sg.states_of[v]) <= kappa for v in g.kept)
             assert sg.kappa == kappa
+            if kappa == 1:
+                # one state per vertex, holding every (arc, successor state)
+                # candidate in the order the build enumerates them
+                for v in g.kept:
+                    assert len(sg.states_of[v]) == 1
+                    want = [(aid, sid) for aid in g.out[v]
+                            for sid in sg.states_of[g.arcs[aid][1]]]
+                    assert sg.state_arcs[sg.states_of[v][0]] == want
 
 
 def _with_scalars(graph, algebra, scalars):
