@@ -18,7 +18,6 @@ from . import oracles
 from .generate import generate_instance
 from .instance import (
     ConnectionKind,
-    Instance,
     build_connections,
     dumps_instance,
     load_instance,
@@ -37,10 +36,6 @@ def _emit(obj: dict, output: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _load(path: str) -> Instance:
-    return load_instance(path)
 
 
 def _parse_kappa(value: str):
@@ -138,7 +133,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_route(args) -> int:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     if args.minimize:
         res = minimize_aircraft(inst, node_limit=args.limit_nodes)
     else:
@@ -149,7 +144,7 @@ def _cmd_route(args) -> int:
 
 
 def _cmd_pair(args) -> int:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     res = solve_crew_pairing(
         inst, kappa=args.kappa, path_limit=args.limit_paths,
         node_limit=args.limit_nodes,
@@ -159,7 +154,7 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_integrated(args) -> int:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     res = solve_integrated(
         inst, gamma=args.gamma, iteration_limit=args.iteration_limit,
         kappa=args.kappa, path_limit=args.limit_paths,
@@ -170,7 +165,7 @@ def _cmd_integrated(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     conns = build_connections(inst)
     if args.problem == "pairing":
         status, objective, chosen = oracles.crew_pairing_brute_force(inst, conns)
@@ -198,7 +193,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     conns = build_connections(inst)
     kinds = {kind.value: 0 for kind in ConnectionKind}
     for c in conns:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
 
 WEEK_MINUTES = 7 * 24 * 60
@@ -285,7 +286,13 @@ def _num_in(obj: dict, key: str, where: str) -> float:
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise InstanceFormatError(f"{where}: '{key}' must be a number")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise InstanceFormatError(f"{where}: '{key}' must be a finite number")
+    return x
 
 
 def instance_from_dict(data: dict) -> Instance:

@@ -24,7 +24,6 @@ TOL_INT = 1e-6
 def solve_mip(
     lp: LinearProgram,
     node_limit: int = 200_000,
-    tol_int: float = TOL_INT,
 ) -> MipResult:
     incumbent_x: np.ndarray | None = None
     incumbent_obj = math.inf
@@ -56,7 +55,7 @@ def solve_mip(
 
         x = sol.x
         frac_j = -1
-        frac_best = tol_int
+        frac_best = TOL_INT
         for j in binaries:
             frac = min(x[j], 1.0 - x[j])
             if frac > frac_best:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,8 +171,6 @@ class LpSolution:
     duals: np.ndarray | None
     reduced_costs: np.ndarray | None
     iterations: int
-    # (iteration, primal objective, Lagrangian lower bound) when debug is on.
-    debug_log: list[tuple[int, float, float]] = field(default_factory=list)
 
 
 @dataclass

@@ -105,29 +105,8 @@ def _refactor(t: _Tableau) -> bool:
     return True
 
 
-def _lagrangian_bound(t: _Tableau, y: np.ndarray, d: np.ndarray) -> float:
-    # Valid lower bound for any y: y'b plus the best each nonbasic var can
-    # contribute within its box given its current reduced cost.
-    bound = float(y @ t.b)
-    for j in np.nonzero(d < 0)[0]:
-        if t.vstat[j] == _BASIC:
-            continue
-        if math.isinf(t.ub[j]):
-            return -math.inf
-        bound += d[j] * t.ub[j]
-    return bound
-
-
-def _iterate(
-    t: _Tableau,
-    tol_feas: float,
-    tol_pivot: float,
-    max_pivots: int,
-    phase: int,
-    debug_log: list | None,
-) -> tuple[str, int]:
+def _iterate(t: _Tableau, max_pivots: int) -> tuple[str, int]:
     """Run simplex pivots until optimal/unbounded/cap. Returns (state, count)."""
-    m = t.b.shape[0]
     bland = False
     streak = 0
     pivots = 0
@@ -144,16 +123,9 @@ def _iterate(
         dscale = np.maximum(1.0, abs_cost + np.abs(y) @ abs_a)
         rel = d / dscale
         can_enter = (t.ub > 0) & (t.vstat != _BASIC)
-        down = can_enter & (t.vstat == _AT_LOWER) & (rel < -tol_pivot)
-        up = can_enter & (t.vstat == _AT_UPPER) & (rel > tol_pivot)
+        down = can_enter & (t.vstat == _AT_LOWER) & (rel < -TOL_PIVOT)
+        up = can_enter & (t.vstat == _AT_UPPER) & (rel > TOL_PIVOT)
         viol = np.where(down, -rel, 0.0) + np.where(up, rel, 0.0)
-        if debug_log is not None and phase == 2:
-            debug_log.append(
-                (pivots, float(t.cost[t.basis] @ t.xb
-                               + t.cost[t.vstat == _AT_UPPER]
-                               @ t.ub[t.vstat == _AT_UPPER]),
-                 _lagrangian_bound(t, y, d))
-            )
         if not viol.any():
             return "optimal", pivots
         if pivots >= max_pivots:
@@ -164,7 +136,7 @@ def _iterate(
             j = int(np.argmax(viol))
         sigma = 1.0 if t.vstat[j] == _AT_LOWER else -1.0
         w = t.binv @ (sigma * t.a[:, j])
-        t_basic, row, kind = ratio_test(t.xb, w, t.ub[t.basis], t.basis, tol_pivot)
+        t_basic, row, kind = ratio_test(t.xb, w, t.ub[t.basis], t.basis, TOL_PIVOT)
         t_flip = t.ub[j]
         step = min(t_basic, t_flip)
         if math.isinf(step):
@@ -182,7 +154,7 @@ def _iterate(
             t.xb[row] = entering_value
         pivots += 1
         since_refactor += 1
-        if step < tol_feas:
+        if step < TOL_FEAS:
             streak += 1
             if streak > DEGENERATE_STREAK:
                 bland = True
@@ -194,7 +166,7 @@ def _iterate(
             since_refactor = 0
 
 
-def _drive_out_artificials(t: _Tableau, tol_pivot: float) -> None:
+def _drive_out_artificials(t: _Tableau) -> None:
     m = t.b.shape[0]
     for r in range(m):
         j = t.basis[r]
@@ -202,7 +174,7 @@ def _drive_out_artificials(t: _Tableau, tol_pivot: float) -> None:
             continue
         row_vec = t.binv[r, :] @ t.a[:, : t.art_start]
         candidates = np.nonzero(
-            (np.abs(row_vec) > tol_pivot) & (t.vstat[: t.art_start] != _BASIC)
+            (np.abs(row_vec) > TOL_PIVOT) & (t.vstat[: t.art_start] != _BASIC)
         )[0]
         if candidates.size == 0:
             # Redundant row: keep the artificial basic, pinned at zero.
@@ -221,36 +193,32 @@ def _drive_out_artificials(t: _Tableau, tol_pivot: float) -> None:
 def solve_lp(
     lp: LinearProgram,
     bound_overrides: dict[int, tuple[float, float]] | None = None,
-    tol_feas: float = TOL_FEAS,
-    tol_pivot: float = TOL_PIVOT,
     max_pivots: int | None = None,
-    debug: bool = False,
 ) -> LpSolution:
     """Minimize the LP relaxation; binaries are treated as their boxes."""
     t = _Tableau(lp, bound_overrides)
     m, ncols = t.a.shape
     if max_pivots is None:
         max_pivots = max(5000, 100 * (m + ncols))
-    debug_log: list | None = [] if debug else None
 
     if m > 0:
         real_cost = t.cost
         t.cost = np.zeros(ncols)
         t.cost[t.art_start:] = 1.0
-        state, it1 = _iterate(t, tol_feas, tol_pivot, max_pivots, 1, None)
+        state, it1 = _iterate(t, max_pivots)
         if state == "limit":
             return LpSolution(LpStatus.NUMERIC_FAILURE, None, math.nan, None, None, it1)
         phase1_obj = float(t.cost[t.basis] @ t.xb)
-        ptol = tol_feas * max(1.0, float(np.abs(t.b).max(initial=0.0)))
+        ptol = TOL_FEAS * max(1.0, float(np.abs(t.b).max(initial=0.0)))
         if phase1_obj > ptol:
             return LpSolution(LpStatus.INFEASIBLE, None, math.inf, None, None, it1)
-        _drive_out_artificials(t, tol_pivot)
+        _drive_out_artificials(t)
         t.ub[t.art_start:] = 0.0
         t.cost = real_cost
     else:
         it1 = 0
 
-    state, it2 = _iterate(t, tol_feas, tol_pivot, max_pivots, 2, debug_log)
+    state, it2 = _iterate(t, max_pivots)
     iterations = it1 + it2
     if state == "limit":
         return LpSolution(LpStatus.NUMERIC_FAILURE, None, math.nan, None, None, iterations)
@@ -262,8 +230,8 @@ def solve_lp(
     # Feasibility audit: a basis outside tolerance is reported, not returned.
     scale = max(1.0, float(np.abs(t.b).max(initial=0.0)))
     ub_b = t.ub[t.basis]
-    if (t.xb < -10 * tol_feas * scale).any() or (
-        np.isfinite(ub_b) & (t.xb > ub_b + 10 * tol_feas * scale)
+    if (t.xb < -10 * TOL_FEAS * scale).any() or (
+        np.isfinite(ub_b) & (t.xb > ub_b + 10 * TOL_FEAS * scale)
     ).any():
         return LpSolution(LpStatus.NUMERIC_FAILURE, None, math.nan, None, None, iterations)
 
@@ -273,7 +241,7 @@ def solve_lp(
             x_std[t.basis[i]] = t.xb[i]
     # Snap basic values sitting within tolerance of a bound onto it, so
     # numerical dust never leaks into objectives or integrality checks.
-    snap = tol_feas * scale
+    snap = TOL_FEAS * scale
     near_lo = np.abs(x_std) <= snap
     x_std[near_lo] = 0.0
     ub_orig = t.ub[: t.n_orig]
@@ -284,12 +252,4 @@ def solve_lp(
     duals = y * t.flip
     reduced = np.array(lp.obj) - y @ t.a[:, : t.n_orig]
     objective = float(np.array(lp.obj) @ x)
-    return LpSolution(
-        LpStatus.OPTIMAL,
-        x,
-        objective,
-        duals,
-        reduced,
-        iterations,
-        debug_log or [],
-    )
+    return LpSolution(LpStatus.OPTIMAL, x, objective, duals, reduced, iterations)

@@ -249,78 +249,51 @@ class StateGraph:
 
 
 def _cluster_candidates(ests, algebra, kappa):
-    """Group candidate indices into <= kappa clusters, merging neighbours in
-    cost order with the smallest bound degradation first.
+    """Group candidate indices into <= kappa clusters of neighbours in cost
+    order, merging the neighbours whose merge degrades the bound least first.
 
-    Costs are dual-free. A cluster's cost is +inf when every member is top
-    and its minimum member scalar otherwise, which is the cost of the meet
-    of its members without duals."""
+    Costs are dual-free and their scalars finite (instance validation rejects
+    non-finite weights). A cluster's cost is +inf when every member is top and
+    its minimum member scalar otherwise, the cost of the meet of its members
+    without duals. Cost order puts the non-top candidates first, by scalar,
+    and the top ones last, so merging two non-top or two top neighbours loses
+    nothing. Only a non-top cluster followed by a top cluster with a lower
+    minimum scalar loses, the difference of the two minima. Least loss first,
+    ties in the order the neighbour pairs arose, is therefore a series of
+    left-to-right passes that merge every pair of neighbours but that one,
+    skipping past both clusters of each merge, until kappa clusters remain.
+    From three clusters on some pair loses nothing, so the lossy pair is
+    never merged unless kappa is 1."""
     n = len(ests)
     if n <= kappa:
         return [[i] for i in range(n)]
     if kappa == 1:
-        # the merge below ends in one cluster holding every candidate
+        # may need the lossy merge, which a pass never makes
         return [list(range(n))]
     scalars = [algebra.scalar(b) for b in ests]
     tops = [algebra.is_top(b) for b in ests]
-    costs = [math.inf if t else x for x, t in zip(scalars, tops)]
-    order = sorted(range(n), key=lambda i: (costs[i], i))
-    members = [[i] for i in order]
-    low = [scalars[i] for i in order]
-    top = [tops[i] for i in order]
-    cost = [costs[i] for i in order]
-    left = list(range(-1, n - 1))
-    right = list(range(1, n + 1))
-    right[-1] = -1
-    alive = [True] * n
-    version = [0] * n
-
-    def loss(a, b):
-        """Bound degradation of merging clusters a and b: the lower of their
-        costs minus the cost of the merged cluster."""
-        ca, cb = cost[a], cost[b]
-        lo = ca if ca <= cb else cb
-        if top[a] and top[b]:
-            cm = math.inf
-        else:
-            la, lb = low[a], low[b]
-            cm = la if la <= lb else lb
-        if lo == math.inf:
-            return 0.0 if cm == math.inf else math.inf
-        if cm == -math.inf:
-            return math.inf
-        return lo - cm
-
-    heap = []
-    seq = 0
-    for i in range(n - 1):
-        heapq.heappush(heap, (loss(i, i + 1), seq, i, i + 1, 0, 0))
-        seq += 1
-
+    order = sorted(range(n),
+                   key=lambda i: (math.inf if tops[i] else scalars[i], i))
+    # [members, minimum scalar, every member top]
+    clusters = [[[i], scalars[i], tops[i]] for i in order]
     remaining = n
     while remaining > kappa:
-        _, _, i, j, vi, vj = heapq.heappop(heap)
-        if not (alive[i] and alive[j]) or version[i] != vi or version[j] != vj:
-            continue
-        members[i].extend(members[j])
-        if low[j] < low[i]:
-            low[i] = low[j]
-        top[i] = top[i] and top[j]
-        cost[i] = math.inf if top[i] else low[i]
-        alive[j] = False
-        version[i] += 1
-        right[i] = right[j]
-        if right[j] >= 0:
-            left[right[j]] = i
-        remaining -= 1
-        for nb in (left[i], right[i]):
-            if nb >= 0 and alive[nb]:
-                a, b = (nb, i) if nb < i else (i, nb)
-                heapq.heappush(
-                    heap, (loss(a, b), seq, a, b, version[a], version[b]))
-                seq += 1
-
-    return [sorted(members[i]) for i in range(n) if alive[i]]
+        merged = []
+        i = 0
+        while i < len(clusters):
+            a = clusters[i]
+            if i + 1 < len(clusters) and remaining > kappa:
+                b = clusters[i + 1]
+                if a[2] or not b[2] or b[1] >= a[1]:
+                    a[0].extend(b[0])
+                    a[1] = min(a[1], b[1])
+                    a[2] = a[2] and b[2]
+                    remaining -= 1
+                    i += 1
+            merged.append(a)
+            i += 1
+        clusters = merged
+    return [sorted(c[0]) for c in clusters]
 
 
 def build_state_graph(graph: RcspGraph, algebra, kappa: int | str) -> StateGraph:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import pytest
@@ -230,6 +231,22 @@ def test_load_rejects_garbage(tmp_path):
     path.write_text("{\"name\": 3}")
     with pytest.raises(InstanceError):
         load_instance(str(path))
+
+
+@pytest.mark.parametrize("path", [("weights", "w_fly"), ("weights", "w_hotel"),
+                                  ("weights", "w_pairing"), ("alpha",),
+                                  ("beta",), ("gamma",)])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400])
+def test_load_rejects_non_finite_numbers(toy2, path, value):
+    data = json.loads(dumps_instance(toy2))
+    obj = data["rules"]
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+    text = json.dumps(data)  # writes Infinity / NaN, which json.loads reads
+    with pytest.raises(InstanceFormatError,
+                       match=f"'{path[-1]}' must be a finite number"):
+        load_instance("bad.json", text=text)
 
 
 def test_generator_deterministic():

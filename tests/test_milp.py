@@ -147,19 +147,6 @@ def test_duality_and_slackness():
                 assert abs(sol.reduced_costs[j]) < 1e-6
 
 
-def test_debug_log_weak_duality():
-    lp = LinearProgram()
-    xs = [lp.add_variable(obj=c) for c in (3.0, 2.0, 4.0)]
-    lp.add_row({xs[0]: 1.0, xs[1]: 1.0}, ">=", 2.0)
-    lp.add_row({xs[1]: 1.0, xs[2]: 1.0}, ">=", 3.0)
-    sol = solve_lp(lp, debug=True)
-    assert sol.status is LpStatus.OPTIMAL
-    assert sol.debug_log
-    for _, primal, lower in sol.debug_log:
-        assert lower <= primal + 1e-6
-    assert sol.debug_log[-1][1] == pytest.approx(sol.objective, abs=1e-7)
-
-
 def test_pivot_limit_reports_numeric_failure():
     lp = LinearProgram()
     xs = [lp.add_variable(obj=1.0) for _ in range(4)]

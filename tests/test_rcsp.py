@@ -14,9 +14,11 @@ from conftest import (
     random_pairing_dag,
     small_pairing_algebra,
 )
+from crewroute.pairing.algebra import TOP, PairingAlgebra, one_core
 from crewroute.rcsp import (
     AdditiveCapacityAlgebra,
     RcspGraph,
+    _cluster_candidates,
     brute_force_oracle,
     build_state_graph,
     compute_bounds,
@@ -174,6 +176,58 @@ def test_state_count_never_exceeds_kappa():
                     want = [(aid, sid) for aid in g.out[v]
                             for sid in sg.states_of[g.arcs[aid][1]]]
                     assert sg.state_arcs[sg.states_of[v][0]] == want
+
+
+def _ok(z):
+    return (one_core(1, 60), z, 0, 0, 60, ())
+
+
+def _top(z):
+    return (TOP, z, 0, 0, 0, ())
+
+
+@pytest.mark.parametrize("ests, kappa, want", [
+    # non-top candidates in scalar order 2 6 0 5 3, then tops 1 4 7; the
+    # pair (3, 1) would lose 9 - 1 and is never merged above kappa 1
+    ([_ok(5), _top(1), _ok(3), _ok(9), _top(7), _ok(4), _ok(3), _top(20)],
+     2, [[0, 2, 3, 5, 6], [1, 4, 7]]),
+    ([_ok(5), _top(1), _ok(3), _ok(9), _top(7), _ok(4), _ok(3), _top(20)],
+     3, [[0, 2, 5, 6], [3], [1, 4, 7]]),
+    ([_ok(5), _top(1), _ok(3), _ok(9), _top(7), _ok(4), _ok(3), _top(20)],
+     4, [[0, 2, 5, 6], [3], [1, 4], [7]]),
+    ([_ok(5), _top(1), _ok(3), _ok(9), _top(7), _ok(4), _ok(3), _top(20)],
+     5, [[2, 6], [0, 5], [3], [1, 4], [7]]),
+    # a top whose scalar ties the non-top cluster's loses nothing by joining
+    ([_top(4), _ok(4), _top(0), _top(9)], 3, [[0, 1], [2], [3]]),
+])
+def test_cluster_partition_is_pinned(ests, kappa, want):
+    alg = PairingAlgebra(4, 600, 0.25, 0.5)
+    assert _cluster_candidates(ests, alg, kappa) == want
+
+
+def test_cluster_runs_follow_cost_order():
+    # above kappa candidates, clusters are contiguous runs of the cost order
+    # (non-top by scalar, then top, ties by index), returned in that order,
+    # kappa of them; up to kappa, every candidate is its own cluster
+    alg = PairingAlgebra(4, 600, 0.25, 0.5)
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randrange(0, 40)
+        ests = [(_top if rng.random() < 0.3 else _ok)(rng.randrange(-5, 6))
+                for _ in range(n)]
+        order = sorted(range(n), key=lambda i: (
+            math.inf if alg.is_top(ests[i]) else alg.scalar(ests[i]), i))
+        kappa = rng.randrange(1, 12)
+        clusters = _cluster_candidates(ests, alg, kappa)
+        if n <= kappa:
+            assert clusters == [[i] for i in range(n)]
+            continue
+        assert len(clusters) == kappa
+        runs, pos = [], 0
+        for c in clusters:
+            runs.append(sorted(order[pos:pos + len(c)]))
+            pos += len(c)
+        assert clusters == runs
 
 
 def _with_scalars(graph, algebra, scalars):
