@@ -17,7 +17,7 @@ def eta_update(binv: np.ndarray, w: np.ndarray, r: int) -> None:
     binv[r, :] /= piv
     scale = w.copy()
     scale[r] = 0.0
-    binv -= np.outer(scale, binv[r, :])
+    binv -= scale[:, None] * binv[r, :]
 
 
 def ratio_test(
@@ -34,15 +34,17 @@ def ratio_test(
     bound (0) and 1 at its upper; row is -1 when no basic blocks. Ties on t
     go to the smallest basis variable index, matching Bland's leaving rule.
     """
-    t_all = np.full(xb.shape[0], np.inf)
-    dn = w > tol_pivot
-    t_all[dn] = np.maximum(xb[dn], 0.0) / w[dn]
-    up = (w < -tol_pivot) & np.isfinite(ub)
-    t_all[up] = np.maximum(ub[up] - xb[up], 0.0) / (-w[up])
+    # An infinite ub gives inf - xb = inf, and inf / |w| stays inf, so the
+    # rows that cannot block need no mask of their own.
+    t_all = np.where(
+        w > tol_pivot,
+        np.maximum(xb, 0.0),
+        np.where(w < -tol_pivot, np.maximum(ub - xb, 0.0), np.inf),
+    ) / np.abs(w)
     best = t_all.min() if t_all.size else np.inf
     if not np.isfinite(best):
         return np.inf, -1, 0
-    tied = np.nonzero(t_all <= best + _TIE_SLACK)[0]
-    row = int(tied[np.argmin(basis[tied])])
+    tied = (t_all <= best + _TIE_SLACK).nonzero()[0]
+    row = int(tied[0]) if tied.size == 1 else int(tied[basis[tied].argmin()])
     kind = 0 if w[row] > 0.0 else 1
     return float(t_all[row]), row, kind

@@ -7,11 +7,16 @@ pivots, which guarantees termination; a generous pivot cap backstops
 numerical trouble as a distinct NUMERIC_FAILURE status rather than a wrong
 answer. The basis inverse is maintained by eta updates (see _kernels) and
 refactorized periodically.
+
+The standard-form matrix is stored by columns (CSC: ``ptr``, ``rows``,
+``vals``) and only its nonzeros are ever read, so work and memory grow with
+the nonzeros of the model, not with rows x columns.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -39,66 +44,93 @@ class _Tableau:
                 lo[j], hi[j] = l, h
                 if h < l:
                     raise ValueError("bound override reversed")
-        a = lp.dense_matrix()
-        b = np.array(lp.rhs) - a @ lo
-        cost = np.array(lp.obj)
+        counts = [len(cols) for cols, _ in lp.rows]
+        nnz = sum(counts)
+        row_of = np.repeat(np.arange(m, dtype=np.int64), counts)
+        col_of = np.fromiter(
+            chain.from_iterable(cols for cols, _ in lp.rows), np.int64, nnz
+        )
+        val = np.fromiter(
+            chain.from_iterable(vals for _, vals in lp.rows), np.float64, nnz
+        )
+        b = np.array(lp.rhs) - np.bincount(row_of, val * lo[col_of], m)
+        self.flip = np.where(b < 0, -1.0, 1.0)
+        b *= self.flip
+        val *= self.flip[row_of]
 
-        n_slack = sum(1 for rel in lp.relations if rel != "=")
-        ncols = n + n_slack + m
-        self.a = np.zeros((m, ncols))
-        self.a[:, :n] = a
+        slack_rows = np.array(
+            [i for i, rel in enumerate(lp.relations) if rel != "="], dtype=np.int64
+        )
+        slack_vals = np.array(
+            [1.0 if lp.relations[i] == "<=" else -1.0 for i in slack_rows]
+        ) * self.flip[slack_rows]
+        n_slack = slack_rows.shape[0]
+        self.art_start = n + n_slack
+        ncols = self.art_start + m
+        # A slack seeds the basis where flipping left it at +1; every other
+        # row gets an artificial, so the starting basis is the identity.
+        self.basis = self.art_start + np.arange(m, dtype=np.int64)
+        seeded = slack_vals == 1.0
+        self.basis[slack_rows[seeded]] = n + np.flatnonzero(seeded)
+        art_rows = np.flatnonzero(self.basis >= self.art_start)
+
+        order = np.argsort(col_of, kind="stable")
+        self.rows = np.concatenate([row_of[order], slack_rows, art_rows])
+        self.vals = np.concatenate([val[order], slack_vals, np.ones(art_rows.shape[0])])
+        self.cols = np.concatenate(
+            [col_of[order], n + np.arange(n_slack), self.art_start + art_rows]
+        )
+        self.ptr = np.zeros(ncols + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.cols, minlength=ncols), out=self.ptr[1:])
+
         self.ub = np.concatenate(
             [hi - lo, np.full(n_slack, np.inf), np.full(m, np.inf)]
         )
-        self.flip = np.ones(m)
-        self.basis = np.empty(m, dtype=np.int64)
-        self.art_start = n + n_slack
-
-        col = n
-        slack_of = {}
-        for i, rel in enumerate(lp.relations):
-            if rel != "=":
-                self.a[i, col] = 1.0 if rel == "<=" else -1.0
-                slack_of[i] = col
-                col += 1
-        for i in range(m):
-            if b[i] < 0:
-                b[i] = -b[i]
-                self.a[i, :] *= -1.0
-                self.flip[i] = -1.0
-        for i in range(m):
-            j = slack_of.get(i)
-            if j is not None and self.a[i, j] == 1.0:
-                self.basis[i] = j
-            else:
-                art = self.art_start + i
-                self.a[i, art] = 1.0
-                self.basis[i] = art
         self.b = b
-        self.cost = np.concatenate([cost, np.zeros(ncols - n)])
+        self.cost = np.concatenate([np.array(lp.obj), np.zeros(ncols - n)])
         self.n_orig = n
         self.lo_shift = lo
-        self.obj_shift = float(cost @ lo)
         self.vstat = np.full(ncols, _AT_LOWER, dtype=np.int64)
         self.vstat[self.basis] = _BASIC
         self.binv = np.eye(m)
-        for i in range(m):
-            if self.a[i, self.basis[i]] == -1.0:
-                self.binv[i, i] = -1.0
-        self.xb = self.binv @ b
+        self.xb = b.copy()
+
+    def ftran(self, j: int) -> np.ndarray:
+        """``B^-1 A_j`` from the nonzeros of column ``j``."""
+        lo, hi = self.ptr[j], self.ptr[j + 1]
+        return self.binv[:, self.rows[lo:hi]] @ self.vals[lo:hi]
+
+    def gather(self, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions in ``rows`` / ``vals`` of the nonzeros of columns ``js``,
+        and for each position the index in ``js`` of its column."""
+        starts = self.ptr[js]
+        lens = self.ptr[js + 1] - starts
+        owner = np.repeat(np.arange(js.shape[0]), lens)
+        skip = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        return np.arange(owner.shape[0]) + skip, owner
+
+    def row_times(self, y: np.ndarray, ncols: int) -> np.ndarray:
+        """``y @ A[:, :ncols]`` from the nonzeros of the first ``ncols`` columns."""
+        k = self.ptr[ncols]
+        return np.bincount(self.cols[:k], y[self.rows[:k]] * self.vals[:k], ncols)
 
 
 def _recompute_xb(t: _Tableau) -> None:
+    at_upper = np.flatnonzero(t.vstat == _AT_UPPER)
+    pos, owner = t.gather(at_upper)
     rhs = t.b.copy()
-    at_upper = np.nonzero(t.vstat == _AT_UPPER)[0]
-    for j in at_upper:
-        rhs -= t.a[:, j] * t.ub[j]
+    # Unbuffered and in column order, as a column-by-column loop would subtract.
+    np.subtract.at(rhs, t.rows[pos], t.vals[pos] * t.ub[at_upper][owner])
     t.xb = t.binv @ rhs
 
 
 def _refactor(t: _Tableau) -> bool:
+    m = t.basis.shape[0]
+    pos, owner = t.gather(t.basis)
+    basis_matrix = np.zeros((m, m))
+    basis_matrix[t.rows[pos], owner] = t.vals[pos]
     try:
-        t.binv = np.linalg.inv(t.a[:, t.basis])
+        t.binv = np.linalg.inv(basis_matrix)
     except np.linalg.LinAlgError:
         return False
     _recompute_xb(t)
@@ -111,31 +143,39 @@ def _iterate(t: _Tableau, max_pivots: int) -> tuple[str, int]:
     streak = 0
     pivots = 0
     since_refactor = 0
-    abs_a = np.abs(t.a)
+    ncols = t.cost.shape[0]
     abs_cost = np.abs(t.cost)
+    cost_b = t.cost[t.basis]
+    # Direction a nonbasic column may enter in: +1 up from its lower bound,
+    # -1 down from its upper, 0 when it is basic or fixed (ub == 0). Only
+    # the columns a pivot moves are rewritten.
+    sign = np.where(t.vstat == _AT_LOWER, 1.0, -1.0)
+    sign[(t.vstat == _BASIC) | ~(t.ub > 0)] = 0.0
     while True:
-        y = t.cost[t.basis] @ t.binv
-        d = t.cost - y @ t.a
+        y = cost_b @ t.binv
+        prod = y[t.rows] * t.vals
+        d = t.cost - np.bincount(t.cols, prod, ncols)
         # Reduced costs inherit rounding noise at the scale of the dual/cost
         # magnitudes feeding them, so the entering test must be relative:
         # an absolute cutoff stalls forever on big-cost columns whose true
-        # reduced cost is zero.
-        dscale = np.maximum(1.0, abs_cost + np.abs(y) @ abs_a)
-        rel = d / dscale
-        can_enter = (t.ub > 0) & (t.vstat != _BASIC)
-        down = can_enter & (t.vstat == _AT_LOWER) & (rel < -TOL_PIVOT)
-        up = can_enter & (t.vstat == _AT_UPPER) & (rel > TOL_PIVOT)
-        viol = np.where(down, -rel, 0.0) + np.where(up, rel, 0.0)
-        if not viol.any():
+        # reduced cost is zero. The scale is >= 1, so only a column with
+        # sign * d < -TOL_PIVOT can pass the relative test, and the scale
+        # (|y_i| |a_ij| == |y_i a_ij|) is read at those columns alone.
+        sd = sign * d
+        cand = (sd < -TOL_PIVOT).nonzero()[0]
+        dscale = np.maximum(
+            1.0, abs_cost[cand] + np.bincount(t.cols, np.abs(prod), ncols)[cand]
+        )
+        rel = sd[cand] / dscale
+        passing = (rel < -TOL_PIVOT).nonzero()[0]
+        if not passing.size:
             return "optimal", pivots
         if pivots >= max_pivots:
             return "limit", pivots
-        if bland:
-            j = int(np.nonzero(viol > 0)[0][0])
-        else:
-            j = int(np.argmax(viol))
-        sigma = 1.0 if t.vstat[j] == _AT_LOWER else -1.0
-        w = t.binv @ (sigma * t.a[:, j])
+        j = int(cand[passing[0] if bland else rel.argmin()])
+        sigma = sign[j]
+        u = t.ftran(j)
+        w = u if sigma > 0 else -u
         t_basic, row, kind = ratio_test(t.xb, w, t.ub[t.basis], t.basis, TOL_PIVOT)
         t_flip = t.ub[j]
         step = min(t_basic, t_flip)
@@ -143,14 +183,18 @@ def _iterate(t: _Tableau, max_pivots: int) -> tuple[str, int]:
             return "unbounded", pivots
         t.xb -= step * w
         if t_flip <= t_basic:
-            t.vstat[j] = _AT_UPPER if t.vstat[j] == _AT_LOWER else _AT_LOWER
+            t.vstat[j] = _AT_UPPER if sigma > 0 else _AT_LOWER
+            sign[j] = -sigma
         else:
             leaving = t.basis[row]
             t.vstat[leaving] = _AT_LOWER if kind == 0 else _AT_UPPER
+            sign[leaving] = (1.0 if kind == 0 else -1.0) if t.ub[leaving] > 0 else 0.0
             entering_value = step if sigma > 0 else t.ub[j] - step
-            eta_update(t.binv, sigma * w, row)
+            eta_update(t.binv, u, row)
             t.basis[row] = j
+            cost_b[row] = t.cost[j]
             t.vstat[j] = _BASIC
+            sign[j] = 0.0
             t.xb[row] = entering_value
         pivots += 1
         since_refactor += 1
@@ -172,7 +216,7 @@ def _drive_out_artificials(t: _Tableau) -> None:
         j = t.basis[r]
         if j < t.art_start:
             continue
-        row_vec = t.binv[r, :] @ t.a[:, : t.art_start]
+        row_vec = t.row_times(t.binv[r, :], t.art_start)
         candidates = np.nonzero(
             (np.abs(row_vec) > TOL_PIVOT) & (t.vstat[: t.art_start] != _BASIC)
         )[0]
@@ -181,7 +225,7 @@ def _drive_out_artificials(t: _Tableau) -> None:
             t.ub[j] = 0.0
             continue
         enter = int(candidates[0])
-        w = t.binv @ t.a[:, enter]
+        w = t.ftran(enter)
         eta_update(t.binv, w, r)
         t.vstat[j] = _AT_LOWER
         t.basis[r] = enter
@@ -197,7 +241,8 @@ def solve_lp(
 ) -> LpSolution:
     """Minimize the LP relaxation; binaries are treated as their boxes."""
     t = _Tableau(lp, bound_overrides)
-    m, ncols = t.a.shape
+    m = t.b.shape[0]
+    ncols = t.cost.shape[0]
     if max_pivots is None:
         max_pivots = max(5000, 100 * (m + ncols))
 
@@ -250,6 +295,6 @@ def solve_lp(
     x = x_std + t.lo_shift
     y = t.cost[t.basis] @ t.binv
     duals = y * t.flip
-    reduced = np.array(lp.obj) - y @ t.a[:, : t.n_orig]
+    reduced = np.array(lp.obj) - t.row_times(y, t.n_orig)
     objective = float(np.array(lp.obj) @ x)
     return LpSolution(LpStatus.OPTIMAL, x, objective, duals, reduced, iterations)

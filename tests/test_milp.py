@@ -9,12 +9,15 @@ import numpy as np
 import pytest
 
 from crewroute.milp import (
+    TOL_PIVOT,
     LinearProgram,
     LpStatus,
     MipStatus,
     solve_lp,
     solve_mip,
 )
+from crewroute.milp._kernels import _TIE_SLACK, ratio_test
+from crewroute.milp.model import RELATIONS
 from crewroute.oracles import brute_force_binary, tableau_solve_lp
 
 
@@ -275,3 +278,151 @@ def test_binary_bounds_validated():
     x = lp.add_variable()
     with pytest.raises(ValueError):
         lp.add_row({x: 1.0}, "<<", 1.0)
+
+
+# ---------------------------------------------------------------------------
+# sparse simplex
+
+
+def test_solvers_never_build_dense_matrix(monkeypatch):
+    # the simplex reads the model's nonzeros only: a routing MIP and a
+    # column-generation round must solve without the dense m x n matrix
+    from crewroute.generate import generate_instance
+    from crewroute.pairing import solve_crew_pairing
+    from crewroute.routing import solve_routing
+
+    def refuse(self):
+        raise AssertionError("dense_matrix called by a solver")
+
+    monkeypatch.setattr(LinearProgram, "dense_matrix", refuse)
+    route = solve_routing(generate_instance(6, 2, 40, 4, 7))
+    assert route.status == "optimal"
+    pairing = solve_crew_pairing(
+        generate_instance(n_airports=4, n_bases=2, n_legs=16, n_aircraft=3,
+                          seed=5),
+        max_rounds=1)
+    assert pairing.stats["pricing_rounds"] == 1
+
+
+_HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+def _highs_lp(lp: LinearProgram, overrides=None) -> tuple[str, float]:
+    optimize = pytest.importorskip("scipy.optimize")
+    a = lp.dense_matrix()
+    rel = np.array(lp.relations)
+    rhs = np.array(lp.rhs)
+    sign = np.where(rel == ">=", -1.0, 1.0)
+    ub_rows = rel != "="
+    bounds = list(zip(lp.lower, lp.upper))
+    for j, box in (overrides or {}).items():
+        bounds[j] = box
+    res = optimize.linprog(
+        lp.obj,
+        A_ub=(a[ub_rows] * sign[ub_rows, None]) if ub_rows.any() else None,
+        b_ub=(rhs[ub_rows] * sign[ub_rows]) if ub_rows.any() else None,
+        A_eq=a[~ub_rows] if (~ub_rows).any() else None,
+        b_eq=rhs[~ub_rows] if (~ub_rows).any() else None,
+        bounds=[(lo, None if math.isinf(hi) else hi) for lo, hi in bounds],
+        method="highs")
+    return _HIGHS_STATUS[res.status], res.fun
+
+
+def _random_sparse_lp(rng: random.Random) -> tuple[LinearProgram, dict]:
+    n = rng.randrange(6, 40)
+    lp = LinearProgram()
+    for _ in range(n):
+        hi = rng.choice([math.inf, 1.0, rng.uniform(0.5, 6.0)])
+        lp.add_variable(obj=rng.uniform(-4.0, 6.0), lo=0.0, hi=hi,
+                        binary=hi == 1.0)
+    for _ in range(rng.randrange(3, 25)):
+        k = max(1, int(n * rng.uniform(0.05, 0.3)))
+        coefs = {j: rng.choice([1.0, -1.0, rng.uniform(-3.0, 4.0)])
+                 for j in rng.sample(range(n), k)}
+        lp.add_row(coefs, rng.choice(RELATIONS), rng.uniform(-6.0, 6.0))
+    overrides = {}
+    for j in rng.sample(range(n), rng.randrange(0, 4)):
+        if lp.binary[j]:
+            v = float(rng.randrange(2))
+            overrides[j] = (v, v)
+        else:
+            lo = rng.uniform(0.0, 1.0)
+            overrides[j] = (lo, lo + rng.choice([0.0, rng.uniform(0.0, 2.0)]))
+    return lp, overrides
+
+
+def _assert_agrees_with_highs(lp: LinearProgram, overrides=None) -> str:
+    got = solve_lp(lp, bound_overrides=overrides)
+    want_status, want_obj = _highs_lp(lp, overrides)
+    assert got.status.value == want_status
+    if want_status == "optimal":
+        assert abs(got.objective - want_obj) <= 1e-9 * max(1.0, abs(want_obj))
+    return want_status
+
+
+def test_lp_matches_highs():
+    # beyond the brute-force oracle sizes: the LP relaxations of the 40- and
+    # 60-leg routing models and random sparse LPs with every relation,
+    # negative right-hand sides and branch-and-bound style bound overrides
+    from crewroute.generate import generate_instance
+    from crewroute.routing import build_ar_model, build_routing_graph
+
+    for n_legs, n_aircraft in ((40, 4), (60, 6)):
+        inst = generate_instance(6, 2, n_legs, n_aircraft, 7)
+        lp, _ = build_ar_model(build_routing_graph(inst), inst.rules.n_a, {})
+        assert _assert_agrees_with_highs(lp) == "optimal"
+
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(150):
+        lp, overrides = _random_sparse_lp(rng)
+        seen.add(_assert_agrees_with_highs(lp, overrides))
+    assert seen == {"optimal", "infeasible", "unbounded"}
+
+
+def _ratio_test_reference(xb, w, ub, basis, tol_pivot):
+    # the masked ratio test the where-chain kernel replaced
+    t_all = np.full(xb.shape[0], np.inf)
+    dn = w > tol_pivot
+    t_all[dn] = np.maximum(xb[dn], 0.0) / w[dn]
+    up = (w < -tol_pivot) & np.isfinite(ub)
+    t_all[up] = np.maximum(ub[up] - xb[up], 0.0) / (-w[up])
+    best = t_all.min() if t_all.size else np.inf
+    if not np.isfinite(best):
+        return np.inf, -1, 0
+    tied = np.nonzero(t_all <= best + _TIE_SLACK)[0]
+    row = int(tied[np.argmin(basis[tied])])
+    kind = 0 if w[row] > 0.0 else 1
+    return float(t_all[row]), row, kind
+
+
+def test_ratio_test_is_bit_exact():
+    rng = np.random.default_rng(3)
+    tol = TOL_PIVOT
+    cases = [(np.zeros(0), np.zeros(0), np.zeros(0))]
+    # nothing blocks: every |w| <= tol, or w < 0 against an infinite ub
+    cases.append((np.ones(4), np.array([tol, -tol, 0.0, -0.5 * tol]),
+                  np.full(4, 2.0)))
+    cases.append((np.ones(3), -np.ones(3), np.full(3, np.inf)))
+    # every row blocks at the same step
+    cases.append((np.full(5, 2.0), np.full(5, 4.0), np.full(5, np.inf)))
+    for _ in range(400):
+        m = int(rng.integers(1, 12))
+        xb = rng.choice([0.0, -1e-9, 1.0, 3.0]) * rng.random(m) \
+            + rng.choice([0.0, 1.0]) * rng.integers(0, 3, m)
+        w = rng.choice([-2.0, -tol, -0.5 * tol, 0.0, 0.5 * tol, tol, 2.0,
+                        1.0, -1.0], m) * rng.choice([1.0, rng.random()], m)
+        ub = rng.choice([np.inf, 0.0, 1.0, 2.5], m)
+        if rng.random() < 0.3:
+            # steps tied within, at and just beyond the tie slack
+            step = float(rng.random())
+            off = rng.choice([0.0, 0.5, 1.0, 1.0 + 1e-3, 2.0], m) * _TIE_SLACK
+            w = np.where(rng.random(m) < 0.5, 1.0, -1.0)
+            xb = np.where(w > 0, step + off, 0.0)
+            ub = np.where(w > 0, np.inf, step + off)
+        cases.append((xb, w, ub))
+    for xb, w, ub in cases:
+        basis = rng.permutation(xb.shape[0] + 7)[: xb.shape[0]]
+        want = _ratio_test_reference(xb, w, ub, basis, tol)
+        got = ratio_test(xb.copy(), w.copy(), ub.copy(), basis, tol)
+        assert repr(got) == repr(want)
