@@ -63,10 +63,6 @@ class FlightLeg:
     def dep_day(self) -> int:
         return self.dep_time // DAY_MINUTES
 
-    @property
-    def dep_hour(self) -> int:
-        return (self.dep_time % DAY_MINUTES) // 60
-
 
 @dataclass(frozen=True)
 class FlyingLimitBand:

@@ -5,8 +5,8 @@ their column survives row flipping), phase 2 the true objective. Dantzig
 pricing switches to Bland's rule permanently after a streak of degenerate
 pivots, which guarantees termination; a generous pivot cap backstops
 numerical trouble as a distinct NUMERIC_FAILURE status rather than a wrong
-answer. The basis inverse is maintained by eta updates (see _kernels) and
-refactorized periodically.
+answer. The basis inverse is maintained by eta updates and refactorized
+periodically.
 
 The standard-form matrix is stored by columns (CSC: ``ptr``, ``rows``,
 ``vals``) and only its nonzeros are ever read, so work and memory grow with
@@ -20,7 +20,6 @@ from itertools import chain
 
 import numpy as np
 
-from ._kernels import eta_update, ratio_test
 from .model import LinearProgram, LpSolution, LpStatus
 
 TOL_FEAS = 1e-7
@@ -29,6 +28,50 @@ DEGENERATE_STREAK = 40
 REFACTOR_EVERY = 64
 
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
+_TIE_SLACK = 1e-12
+
+
+def eta_update(binv: np.ndarray, w: np.ndarray, r: int) -> None:
+    """In-place product-form update of the basis inverse.
+
+    ``w`` is the ftran result B^-1 A_j for the entering column and ``r`` the
+    leaving row; afterwards binv is the inverse of the new basis.
+    """
+    piv = w[r]
+    binv[r, :] /= piv
+    scale = w.copy()
+    scale[r] = 0.0
+    binv -= scale[:, None] * binv[r, :]
+
+
+def ratio_test(
+    xb: np.ndarray,
+    w: np.ndarray,
+    ub: np.ndarray,
+    basis: np.ndarray,
+    tol_pivot: float,
+) -> tuple[float, int, int]:
+    """Largest step t for the entering variable before a basic hits a bound.
+
+    Basics move as xb - t*w with upper bounds ``ub``. Returns
+    (t, row, kind) with kind 0 when the blocking basic leaves at its lower
+    bound (0) and 1 at its upper; row is -1 when no basic blocks. Ties on t
+    go to the smallest basis variable index, matching Bland's leaving rule.
+    """
+    # An infinite ub gives inf - xb = inf, and inf / |w| stays inf, so the
+    # rows that cannot block need no mask of their own.
+    t_all = np.where(
+        w > tol_pivot,
+        np.maximum(xb, 0.0),
+        np.where(w < -tol_pivot, np.maximum(ub - xb, 0.0), np.inf),
+    ) / np.abs(w)
+    best = t_all.min() if t_all.size else np.inf
+    if not np.isfinite(best):
+        return np.inf, -1, 0
+    tied = (t_all <= best + _TIE_SLACK).nonzero()[0]
+    row = int(tied[0]) if tied.size == 1 else int(tied[basis[tied].argmin()])
+    kind = 0 if w[row] > 0.0 else 1
+    return float(t_all[row]), row, kind
 
 
 class _Tableau:
@@ -44,15 +87,17 @@ class _Tableau:
                 lo[j], hi[j] = l, h
                 if h < l:
                     raise ValueError("bound override reversed")
-        counts = [len(cols) for cols, _ in lp.rows]
+        counts = [len(rows) for rows, _ in lp.columns]
         nnz = sum(counts)
-        row_of = np.repeat(np.arange(m, dtype=np.int64), counts)
-        col_of = np.fromiter(
-            chain.from_iterable(cols for cols, _ in lp.rows), np.int64, nnz
+        col_of = np.repeat(np.arange(n, dtype=np.int64), counts)
+        row_of = np.fromiter(
+            chain.from_iterable(rows for rows, _ in lp.columns), np.int64, nnz
         )
         val = np.fromiter(
-            chain.from_iterable(vals for _, vals in lp.rows), np.float64, nnz
+            chain.from_iterable(vals for _, vals in lp.columns), np.float64, nnz
         )
+        # The nonzeros run column by column, so each row's shift sums its
+        # terms in increasing column order.
         b = np.array(lp.rhs) - np.bincount(row_of, val * lo[col_of], m)
         self.flip = np.where(b < 0, -1.0, 1.0)
         b *= self.flip
@@ -74,11 +119,10 @@ class _Tableau:
         self.basis[slack_rows[seeded]] = n + np.flatnonzero(seeded)
         art_rows = np.flatnonzero(self.basis >= self.art_start)
 
-        order = np.argsort(col_of, kind="stable")
-        self.rows = np.concatenate([row_of[order], slack_rows, art_rows])
-        self.vals = np.concatenate([val[order], slack_vals, np.ones(art_rows.shape[0])])
+        self.rows = np.concatenate([row_of, slack_rows, art_rows])
+        self.vals = np.concatenate([val, slack_vals, np.ones(art_rows.shape[0])])
         self.cols = np.concatenate(
-            [col_of[order], n + np.arange(n_slack), self.art_start + art_rows]
+            [col_of, n + np.arange(n_slack), self.art_start + art_rows]
         )
         self.ptr = np.zeros(ncols + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.cols, minlength=ncols), out=self.ptr[1:])

@@ -49,8 +49,9 @@ def tableau_solve_lp(lp: LinearProgram, max_iter: int = 20_000):
     """
     n = lp.n_vars
     lo = np.array(lp.lower)
-    a_rows = [lp.dense_matrix()[i] for i in range(lp.n_rows)]
-    rhs = list(np.array(lp.rhs) - lp.dense_matrix() @ lo)
+    a = lp.dense_matrix()
+    a_rows = list(a)
+    rhs = list(np.array(lp.rhs) - a @ lo)
     rels = list(lp.relations)
     for j in range(n):
         u = lp.upper[j] - lo[j]

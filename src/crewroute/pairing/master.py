@@ -52,20 +52,16 @@ class MasterProblem:
 
         big_m = artificial_cost(inst)
         self.art_vars = {
-            leg: self.lp.add_variable(obj=big_m, name=f"art_{leg}")
+            leg: self.lp.add_variable(obj=big_m)
             for leg in self.leg_ids
         }
         self.cover_row = {
-            leg: self.lp.add_row({self.art_vars[leg]: 1.0}, "=", 1.0,
-                                 name=f"cover_{leg}")
+            leg: self.lp.add_row({self.art_vars[leg]: 1.0}, "=", 1.0)
             for leg in self.leg_ids
         }
-        self.alpha_row = self.lp.add_row({}, "<=", 0.0, name="alpha")
-        self.beta_row = self.lp.add_row({}, "<=", 0.0, name="beta")
-        self.cut_rows = [
-            self.lp.add_row({}, "<=", cut.rhs, name=f"cut_{i}")
-            for i, cut in enumerate(cuts)
-        ]
+        self.alpha_row = self.lp.add_row({}, "<=", 0.0)
+        self.beta_row = self.lp.add_row({}, "<=", 0.0)
+        self.cut_rows = [self.lp.add_row({}, "<=", cut.rhs) for cut in cuts]
 
     def has_column(self, col: PairingColumn) -> bool:
         return col.legs in self._seen
@@ -75,9 +71,7 @@ class MasterProblem:
             raise ValueError("duplicate pairing column")
         self._seen.add(col.legs)
         var = self.lp.add_variable(obj=col.cost, binary=True,
-                                   name=f"p{len(self.columns)}")
-        for row, coef in self._coefficients(col).items():
-            self.lp.set_coefficient(row, var, coef)
+                                   column=self._coefficients(col))
         self.columns.append(col)
         self.col_vars.append(var)
         return var

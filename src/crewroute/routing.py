@@ -103,13 +103,15 @@ def build_routing_graph(
 def build_ar_model(
     graph: RoutingGraph,
     budget: int | None,
-    forced: dict[tuple[int, int], int],
+    forced: list[tuple[int, int]],
 ) -> tuple[LinearProgram, list[int]]:
-    """Flow + cover + budget + forcing rows over binary arc variables."""
-    inst = graph.inst
-    lp = LinearProgram(name="routing")
-    x = [lp.add_variable(obj=float(a.crossings), binary=True, name=f"a{i}")
-         for i, a in enumerate(graph.arcs)]
+    """Flow + cover + budget + forcing rows over binary arc variables.
+
+    ``forced`` holds sorted connection keys, each flown at least once.
+    """
+    lp = LinearProgram()
+    x = [lp.add_variable(obj=float(a.crossings), binary=True)
+         for a in graph.arcs]
 
     flow: dict[tuple[int, int], dict[int, float]] = {
         key: {} for key in graph.vertex_of
@@ -119,24 +121,24 @@ def build_ar_model(
         tail_key = (a.conn.from_leg, a.k_from)
         flow[tail_key][x[i]] = flow[tail_key].get(x[i], 0.0) - 1.0
     for key in sorted(flow):
-        lp.add_row(flow[key], "=", 0.0, name=f"flow_{key[0]}_{key[1]}")
+        lp.add_row(flow[key], "=", 0.0)
 
     for leg_id in sorted(graph.in_arcs_of_leg):
         coefs = {x[i]: 1.0 for i in graph.in_arcs_of_leg[leg_id]}
-        lp.add_row(coefs, "=", 1.0, name=f"cover_{leg_id}")
+        lp.add_row(coefs, "=", 1.0)
 
     if budget is not None:
         coefs = {x[i]: float(a.crossings)
                  for i, a in enumerate(graph.arcs) if a.crossings}
-        lp.add_row(coefs, "<=", float(budget), name="budget")
+        lp.add_row(coefs, "<=", float(budget))
 
-    for key in sorted(forced):
+    for key in forced:
         if key not in graph.conn_keys:
             raise ValueError(f"forced connection {key} does not exist")
         # A connection whose arcs were all dropped by the maintenance cap
         # yields an unsatisfiable row, i.e. a proof of infeasibility.
         coefs = {x[i]: 1.0 for i in graph.arcs_of_conn.get(key, [])}
-        lp.add_row(coefs, ">=", float(forced[key]), name=f"force_{key[0]}_{key[1]}")
+        lp.add_row(coefs, ">=", 1.0)
     return lp, x
 
 
@@ -243,19 +245,15 @@ def _solve(
 ) -> RoutingResult:
     """The routing solve; ``budget=None`` builds the model without a budget
     row."""
-    if forced is None:
-        forced = {}
-    elif not isinstance(forced, dict):
-        forced = {tuple(k): 1 for k in forced}
+    forced_keys = sorted({tuple(k) for k in forced or ()})
     graph = build_routing_graph(inst, connections)
-    forced_keys = sorted(forced)
 
     gaps = _structural_gaps(graph)
     if gaps:
         return RoutingResult(status="infeasible", n_aircraft=None, routes=[],
                              forced=forced_keys, uncoverable_legs=gaps)
 
-    lp, x = build_ar_model(graph, budget, forced)
+    lp, x = build_ar_model(graph, budget, forced_keys)
     mip = solve_mip(lp, node_limit=node_limit)
     if mip.status == MipStatus.NODE_LIMIT:
         return RoutingResult(status="limit", n_aircraft=None, routes=[],

@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from crewroute.generate import generate_instance
 from crewroute.milp import (
     TOL_PIVOT,
     LinearProgram,
@@ -16,14 +17,16 @@ from crewroute.milp import (
     solve_lp,
     solve_mip,
 )
-from crewroute.milp._kernels import _TIE_SLACK, ratio_test
 from crewroute.milp.model import RELATIONS
+from crewroute.milp.simplex import _TIE_SLACK, _Tableau, ratio_test
 from crewroute.oracles import brute_force_binary, tableau_solve_lp
+from crewroute.pairing.master import CutRow, MasterProblem
+from crewroute.pairing.network import PairingColumn
 
 
 def test_single_bound_row():
     lp = LinearProgram()
-    x = lp.add_variable(obj=1.0, name="x")
+    x = lp.add_variable(obj=1.0)
     lp.add_row({x: 1.0}, ">=", 3.0)
     sol = solve_lp(lp)
     assert sol.status is LpStatus.OPTIMAL
@@ -252,21 +255,114 @@ def test_node_limit():
 # model container
 
 
-def test_model_editing_and_text():
-    lp = LinearProgram(name="demo")
-    x = lp.add_variable(obj=1.0, name="x")
-    y = lp.add_variable(obj=2.0, binary=True, name="y")
-    r = lp.add_row({x: 1.0, y: 1.0}, "<=", 5.0, name="cap")
-    lp.set_coefficient(r, y, 3.0)
-    assert lp.dense_matrix()[r, y] == 3.0
-    lp.set_coefficient(r, y, 0.0)
-    assert lp.dense_matrix()[r, y] == 0.0
-    lp.set_coefficient(r, y, 2.0)
-    text = lp.to_lp_text()
-    for token in ("Minimize", "Subject To", "Bounds", "Binaries", "End"):
-        assert token in text
-    assert lp.objective_value(np.array([2.0, 1.0])) == pytest.approx(4.0)
-    assert lp.row_activity(np.array([2.0, 1.0]), r) == pytest.approx(4.0)
+def test_model_columns_and_rows():
+    lp = LinearProgram()
+    x = lp.add_variable(obj=1.0)
+    y = lp.add_variable(obj=2.0, binary=True)
+    r = lp.add_row({y: 1.0, x: 1.0}, "<=", 5.0)
+    s = lp.add_row({x: 0.0}, ">=", -1.0)
+    # a later variable brings its coefficients in existing rows, any order
+    lp.add_variable(obj=0.5, column={s: 4.0, r: 3.0})
+    assert lp.columns == [([r], [1.0]), ([r], [1.0]), ([r, s], [3.0, 4.0])]
+    assert (lp.n_rows, lp.n_vars, lp.upper[y]) == (2, 3, 1.0)
+    np.testing.assert_array_equal(lp.dense_matrix(), [[1.0, 1.0, 3.0],
+                                                      [0.0, 0.0, 4.0]])
+    assert lp.objective_value(np.array([2.0, 1.0, 2.0])) == pytest.approx(5.0)
+    # rejected rows and variables leave the model as it was
+    with pytest.raises(ValueError, match="unknown variable 5"):
+        lp.add_row({x: 1.0, 7: 1.0, 5: 1.0}, "<=", 1.0)
+    with pytest.raises(ValueError, match="unknown row 2"):
+        lp.add_variable(column={0: 1.0, 3: 1.0, 2: 1.0})
+    with pytest.raises(ValueError, match="finite"):
+        lp.add_variable(column={s: math.inf})
+    assert lp.columns[x] == ([r], [1.0])
+    assert (lp.n_rows, lp.n_vars) == (2, 3)
+
+
+def _reference_csc(lp: LinearProgram):
+    """The standard-form CSC arrays rebuilt from ``dense_matrix()``, for a
+    model whose variables all have lower bound 0: nonzeros column by column,
+    rows ascending, flipped where rhs < 0, then slacks and artificials."""
+    a = lp.dense_matrix()
+    m, n = a.shape
+    flip = np.where(np.array(lp.rhs) < 0, -1.0, 1.0)
+    rows, vals, cols = [], [], []
+    for j in range(n):
+        for i in np.flatnonzero(a[:, j]):
+            rows.append(i)
+            vals.append(a[i, j] * flip[i])
+            cols.append(j)
+    # a slack per inequality row; it seeds the basis where flipping left it
+    # at +1, and every other row gets an artificial
+    k, seeded = n, set()
+    for i, rel in enumerate(lp.relations):
+        if rel != "=":
+            v = (1.0 if rel == "<=" else -1.0) * flip[i]
+            if v == 1.0:
+                seeded.add(i)
+            rows.append(i)
+            vals.append(v)
+            cols.append(k)
+            k += 1
+    for i in range(m):
+        if i not in seeded:
+            rows.append(i)
+            vals.append(1.0)
+            cols.append(k + i)
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=k + m))])
+    return ptr, np.array(rows), np.array(vals), np.array(cols)
+
+
+def _check_layout(lp: LinearProgram) -> None:
+    for rows, vals in lp.columns:
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+        assert 0.0 not in vals
+    t = _Tableau(lp)
+    ptr, rows, vals, cols = _reference_csc(lp)
+    np.testing.assert_array_equal(t.ptr, ptr)
+    np.testing.assert_array_equal(t.rows, rows)
+    np.testing.assert_array_equal(t.vals, vals)
+    np.testing.assert_array_equal(t.cols, cols)
+
+
+def test_columns_match_dense_layout():
+    rng = random.Random(23)
+    for _ in range(40):
+        lp = LinearProgram()
+        for _ in range(rng.randrange(1, 4)):
+            lp.add_variable(obj=rng.uniform(-2.0, 2.0))
+        for _ in range(rng.randrange(4, 14)):
+            if lp.n_rows and rng.random() < 0.5:
+                picked = rng.sample(range(lp.n_rows),
+                                    rng.randrange(1, lp.n_rows + 1))
+                lp.add_variable(obj=rng.uniform(-2.0, 2.0), column={
+                    i: rng.choice([0.0, rng.uniform(-3.0, 3.0)])
+                    for i in picked})
+            else:
+                picked = rng.sample(range(lp.n_vars),
+                                    rng.randrange(0, lp.n_vars + 1))
+                lp.add_row({j: rng.choice([0.0, rng.uniform(-3.0, 3.0)])
+                            for j in picked},
+                           rng.choice(RELATIONS), rng.uniform(-5.0, 5.0))
+        _check_layout(lp)
+
+    # the master's columns arrive with their legs in path order
+    inst = generate_instance(n_airports=4, n_bases=2, n_legs=16,
+                             n_aircraft=3, seed=5)
+    master_legs = sorted(l.id for l in inst.legs)
+    conns = [(a, b) for a in master_legs for b in master_legs if a != b]
+    cuts = tuple(CutRow(frozenset(rng.sample(conns, 6)), 1.0)
+                 for _ in range(3))
+    master = MasterProblem(inst, cuts)
+    for k in range(30):
+        legs = rng.sample(master.leg_ids, rng.randrange(2, 6))
+        duties = (tuple(legs[:1]), tuple(legs[1:]))
+        master.add_column(PairingColumn(
+            legs=tuple(legs), cost=100.0 + k, nights=rng.randrange(0, 4),
+            duties=duties, n_long_duties=rng.randrange(0, 3),
+            shorts=tuple(rng.sample(conns, 8))))
+    assert any(list(c.legs) != sorted(c.legs) for c in master.columns)
+    _check_layout(master.lp)
 
 
 def test_binary_bounds_validated():
@@ -287,7 +383,6 @@ def test_binary_bounds_validated():
 def test_solvers_never_build_dense_matrix(monkeypatch):
     # the simplex reads the model's nonzeros only: a routing MIP and a
     # column-generation round must solve without the dense m x n matrix
-    from crewroute.generate import generate_instance
     from crewroute.pairing import solve_crew_pairing
     from crewroute.routing import solve_routing
 
@@ -364,7 +459,6 @@ def test_lp_matches_highs():
     # beyond the brute-force oracle sizes: the LP relaxations of the 40- and
     # 60-leg routing models and random sparse LPs with every relation,
     # negative right-hand sides and branch-and-bound style bound overrides
-    from crewroute.generate import generate_instance
     from crewroute.routing import build_ar_model, build_routing_graph
 
     for n_legs, n_aircraft in ((40, 4), (60, 6)):

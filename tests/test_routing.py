@@ -102,13 +102,13 @@ def test_away_overnights_advance_k():
 
 def test_model_row_and_column_counts(toy2):
     g = build_routing_graph(toy2)
-    lp, x = build_ar_model(g, budget=1, forced={})
+    lp, x = build_ar_model(g, budget=1, forced=[])
     # flow rows per (leg, k) vertex, one cover row per leg, one budget row
     assert lp.n_rows == 6 + 2 + 1
     assert lp.n_vars == len(x) == 6
-    lp2, _ = build_ar_model(g, budget=None, forced={})
+    lp2, _ = build_ar_model(g, budget=None, forced=[])
     assert lp2.n_rows == 8
-    lp3, _ = build_ar_model(g, budget=1, forced={(0, 1): 1})
+    lp3, _ = build_ar_model(g, budget=1, forced=[(0, 1)])
     assert lp3.n_rows == 10
 
 
@@ -117,7 +117,7 @@ def test_row_count_formula_random():
         inst = generate_instance(n_airports=4, n_bases=2, n_legs=10,
                                  n_aircraft=3, seed=seed)
         g = build_routing_graph(inst)
-        lp, x = build_ar_model(g, budget=3, forced={})
+        lp, x = build_ar_model(g, budget=3, forced=[])
         T = inst.rules.T
         n = len(inst.legs)
         assert lp.n_rows == n * T + n + 1
@@ -127,7 +127,7 @@ def test_row_count_formula_random():
 def test_forced_unknown_connection_rejected(toy2):
     g = build_routing_graph(toy2)
     with pytest.raises(ValueError, match="does not exist"):
-        build_ar_model(g, budget=1, forced={(5, 6): 1})
+        build_ar_model(g, budget=1, forced=[(5, 6)])
 
 
 # ---------------------------------------------------------------------------
