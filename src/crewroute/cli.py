@@ -19,7 +19,7 @@ from .generate import generate_instance
 from .instance import (
     ConnectionKind,
     build_connections,
-    dumps_instance,
+    instance_to_dict,
     load_instance,
 )
 from .integrated import solve_integrated
@@ -47,6 +47,16 @@ def _parse_kappa(value: str):
         raise argparse.ArgumentTypeError("kappa must be an integer or 'auto'")
 
 
+def _parse_limit(value: str) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError("limit must be a non-negative integer")
+    return n
+
+
 def _parse_conn(value: str) -> tuple[int, int]:
     try:
         a, b = value.split(",")
@@ -57,13 +67,13 @@ def _parse_conn(value: str) -> tuple[int, int]:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="write the JSON report here instead of stdout")
-    p.add_argument("--limit-nodes", type=int, default=200_000,
+    p.add_argument("--limit-nodes", type=_parse_limit, default=200_000,
                    help="branch and bound node limit")
 
 
 def _add_pricing(p: argparse.ArgumentParser) -> None:
     _add_common(p)
-    p.add_argument("--limit-paths", type=int, default=200_000,
+    p.add_argument("--limit-paths", type=_parse_limit, default=200_000,
                    help="path cap for the enumeration phase")
 
 
@@ -103,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--kappa", type=_parse_kappa, default=None)
     i.add_argument("--gamma", type=float, default=None,
                    help="cut depth in (0, 1]; 1 keeps the loop exact")
-    i.add_argument("--iteration-limit", type=int, default=100)
+    i.add_argument("--iteration-limit", type=_parse_limit, default=100)
     _add_pricing(i)
 
     o = sub.add_parser("oracle", help="brute-force reference on small instances")
@@ -123,12 +133,7 @@ def _cmd_generate(args) -> int:
         n_airports=args.airports, n_bases=args.bases, n_legs=args.legs,
         n_aircraft=args.aircraft, seed=args.seed,
     )
-    text = dumps_instance(inst)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(instance_to_dict(inst), args.output)
     return 0
 
 

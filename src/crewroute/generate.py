@@ -181,10 +181,7 @@ def generate_instance(
     data = {
         "name": f"gen-a{n_airports}b{n_bases}l{n_legs}f{n_aircraft}s{seed}",
         "airports": airports,
-        "legs": [
-            {k: leg[k] for k in ("id", "dep_airport", "arr_airport", "dep_time", "arr_time")}
-            for leg in legs
-        ],
+        "legs": legs,
         "rules": rules,
     }
     return instance_from_dict(data)

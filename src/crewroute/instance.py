@@ -7,8 +7,10 @@ sleep, desk-sized instances follow the same convention as the real ones).
 
 The module owns three operations:
 
-* ``load_instance`` / ``save_instance``: strict JSON round trip. Unknown keys
-  are rejected, validation names the first violated invariant, and
+* ``load_instance`` / ``save_instance``: strict JSON round trip. The
+  dataclasses below are the file format: each record is an object with
+  exactly its class's fields, and tuples are lists. Unknown keys are
+  rejected, validation names the first violated invariant, and
   ``save(load(x))`` is byte identical for canonical files.
 * ``build_connections``: enumerate and classify every feasible connection
   between ordered leg pairs (airplane-only, short, day-crew, night-crew).
@@ -19,9 +21,10 @@ The module owns three operations:
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, is_dataclass
 
 WEEK_MINUTES = 7 * 24 * 60
 DAY_MINUTES = 24 * 60
@@ -127,14 +130,10 @@ class Instance:
     airports: tuple[Airport, ...]
     legs: tuple[FlightLeg, ...]
     rules: RulesConfig
-    _airport_index: dict[str, Airport] = field(
-        default=None, repr=False, compare=False
-    )
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_airport_index", {a.code: a for a in self.airports}
-        )
+    @functools.cached_property
+    def _airport_index(self) -> dict[str, Airport]:
+        return {a.code: a for a in self.airports}
 
     def airport(self, code: str) -> Airport:
         return self._airport_index[code]
@@ -233,35 +232,15 @@ def build_connections(inst: Instance) -> list[Connection]:
 # ---------------------------------------------------------------------------
 # JSON round trip
 
-_AIRPORT_KEYS = {"code", "is_base", "min_airplane_turn", "min_crew_change"}
-_LEG_KEYS = {"id", "dep_airport", "arr_airport", "dep_time", "arr_time"}
-_BAND_KEYS = {"from_hour", "to_hour", "limit_minutes"}
-_WEIGHT_KEYS = {"w_fly", "w_hotel", "w_pairing"}
-_RULES_KEYS = {
-    "T",
-    "n_a",
-    "max_legs_per_duty",
-    "reduced_rest_max_legs",
-    "reduced_rest_threshold",
-    "F_table",
-    "short_band",
-    "alpha",
-    "beta",
-    "gamma",
-    "kappa",
-    "max_pairing_days",
-    "weights",
-}
-_TOP_KEYS = {"name", "airports", "legs", "rules"}
 
-
-def _require_keys(obj: dict, keys: set[str], where: str) -> None:
+def _require_keys(obj: dict, cls: type, where: str) -> None:
     if not isinstance(obj, dict):
         raise InstanceFormatError(f"{where}: expected an object")
-    unknown = set(obj) - keys
+    keys = {f.name for f in fields(cls)}
+    unknown = obj.keys() - keys
     if unknown:
         raise InstanceFormatError(f"{where}: unknown key '{sorted(unknown)[0]}'")
-    missing = keys - set(obj)
+    missing = keys - obj.keys()
     if missing:
         raise InstanceFormatError(f"{where}: missing key '{sorted(missing)[0]}'")
 
@@ -291,29 +270,43 @@ def _num_in(obj: dict, key: str, where: str) -> float:
     return x
 
 
-def instance_from_dict(data: dict) -> Instance:
-    _require_keys(data, _TOP_KEYS, "instance")
-    if not isinstance(data["name"], str):
-        raise InstanceFormatError("instance: 'name' must be a string")
+def _str_in(obj: dict, key: str, where: str) -> str:
+    v = obj[key]
+    if not isinstance(v, str):
+        raise InstanceFormatError(f"{where}: '{key}' must be a string")
+    return v
 
-    airports = []
+
+def _bool_in(obj: dict, key: str, where: str) -> bool:
+    v = obj[key]
+    if not isinstance(v, bool):
+        raise InstanceFormatError(f"{where}: '{key}' must be a boolean")
+    return v
+
+
+# Keyed by annotation text, since annotations are postponed in this module.
+_READERS = {"int": _int_in, "float": _num_in, "str": _str_in, "bool": _bool_in}
+
+
+def _record(cls: type, obj: dict, where: str, **done):
+    """Read a ``cls`` record; each field not in ``done`` by its type's reader."""
+    _require_keys(obj, cls, where)
+    for f in fields(cls):
+        if f.name not in done:
+            done[f.name] = _READERS[f.type](obj, f.name, where)
+    return cls(**done)
+
+
+def instance_from_dict(data: dict) -> Instance:
+    _require_keys(data, Instance, "instance")
+    name = _str_in(data, "name", "instance")
+
     if not isinstance(data["airports"], list):
         raise InstanceFormatError("instance: 'airports' must be a list")
-    for i, a in enumerate(data["airports"]):
-        where = f"airports[{i}]"
-        _require_keys(a, _AIRPORT_KEYS, where)
-        if not isinstance(a["code"], str):
-            raise InstanceFormatError(f"{where}: 'code' must be a string")
-        if not isinstance(a["is_base"], bool):
-            raise InstanceFormatError(f"{where}: 'is_base' must be a boolean")
-        airports.append(
-            Airport(
-                code=a["code"],
-                is_base=a["is_base"],
-                min_airplane_turn=_int_in(a, "min_airplane_turn", where),
-                min_crew_change=_int_in(a, "min_crew_change", where),
-            )
-        )
+    airports = [
+        _record(Airport, a, f"airports[{i}]")
+        for i, a in enumerate(data["airports"])
+    ]
     codes = [a.code for a in airports]
     _check(len(set(codes)) == len(codes), "airports: duplicate code")
     _check(len(airports) > 0, "airports: at least one airport required")
@@ -321,25 +314,13 @@ def instance_from_dict(data: dict) -> Instance:
         _check(a.min_airplane_turn >= 0, f"airport {a.code}: negative turn time")
         _check(a.min_crew_change >= 0, f"airport {a.code}: negative crew change time")
 
-    legs = []
     if not isinstance(data["legs"], list):
         raise InstanceFormatError("instance: 'legs' must be a list")
+    legs = [
+        _record(FlightLeg, l, f"legs[{i}]")
+        for i, l in enumerate(data["legs"])
+    ]
     code_set = set(codes)
-    for i, l in enumerate(data["legs"]):
-        where = f"legs[{i}]"
-        _require_keys(l, _LEG_KEYS, where)
-        for key in ("dep_airport", "arr_airport"):
-            if not isinstance(l[key], str):
-                raise InstanceFormatError(f"{where}: '{key}' must be a string")
-        legs.append(
-            FlightLeg(
-                id=_int_in(l, "id", where),
-                dep_airport=l["dep_airport"],
-                arr_airport=l["arr_airport"],
-                dep_time=_int_in(l, "dep_time", where),
-                arr_time=_int_in(l, "arr_time", where),
-            )
-        )
     ids = [l.id for l in legs]
     _check(len(set(ids)) == len(ids), "legs: duplicate id")
     for l in legs:
@@ -356,20 +337,13 @@ def instance_from_dict(data: dict) -> Instance:
         )
 
     r = data["rules"]
-    _require_keys(r, _RULES_KEYS, "rules")
-    bands = []
+    _require_keys(r, RulesConfig, "rules")
     if not isinstance(r["F_table"], list) or not r["F_table"]:
         raise InstanceFormatError("rules: 'F_table' must be a non-empty list")
-    for i, b in enumerate(r["F_table"]):
-        where = f"rules.F_table[{i}]"
-        _require_keys(b, _BAND_KEYS, where)
-        bands.append(
-            FlyingLimitBand(
-                from_hour=_int_in(b, "from_hour", where),
-                to_hour=_int_in(b, "to_hour", where),
-                limit_minutes=_int_in(b, "limit_minutes", where),
-            )
-        )
+    bands = [
+        _record(FlyingLimitBand, b, f"rules.F_table[{i}]")
+        for i, b in enumerate(r["F_table"])
+    ]
     for b in bands:
         _check(0 <= b.from_hour < b.to_hour <= 24, "rules: F_table band hours must satisfy 0 <= from < to <= 24")
         _check(b.limit_minutes > 0, "rules: F_table limit must be positive")
@@ -379,30 +353,14 @@ def instance_from_dict(data: dict) -> Instance:
     sb = r["short_band"]
     if not isinstance(sb, list) or len(sb) != 2 or any(isinstance(v, bool) or not isinstance(v, int) for v in sb):
         raise InstanceFormatError("rules: 'short_band' must be a pair of integers")
-    _require_keys(r["weights"], _WEIGHT_KEYS, "rules.weights")
-    weights = CostWeights(
-        w_fly=_num_in(r["weights"], "w_fly", "rules.weights"),
-        w_hotel=_num_in(r["weights"], "w_hotel", "rules.weights"),
-        w_pairing=_num_in(r["weights"], "w_pairing", "rules.weights"),
-    )
+    weights = _record(CostWeights, r["weights"], "rules.weights")
     kappa = r["kappa"]
     if kappa != "auto" and (isinstance(kappa, bool) or not isinstance(kappa, int)):
         raise InstanceFormatError("rules: 'kappa' must be an integer or \"auto\"")
 
-    rules = RulesConfig(
-        T=_int_in(r, "T", "rules"),
-        n_a=_int_in(r, "n_a", "rules"),
-        max_legs_per_duty=_int_in(r, "max_legs_per_duty", "rules"),
-        reduced_rest_max_legs=_int_in(r, "reduced_rest_max_legs", "rules"),
-        reduced_rest_threshold=_int_in(r, "reduced_rest_threshold", "rules"),
-        F_table=tuple(bands),
-        short_band=(sb[0], sb[1]),
-        alpha=_num_in(r, "alpha", "rules"),
-        beta=_num_in(r, "beta", "rules"),
-        gamma=_num_in(r, "gamma", "rules"),
-        kappa=kappa,
-        max_pairing_days=_int_in(r, "max_pairing_days", "rules"),
-        weights=weights,
+    rules = _record(
+        RulesConfig, r, "rules", F_table=tuple(bands),
+        short_band=(sb[0], sb[1]), kappa=kappa, weights=weights,
     )
     _check(rules.T >= 1, "rules: T must be at least 1")
     _check(rules.n_a >= 0, "rules: n_a must be nonnegative")
@@ -421,7 +379,7 @@ def instance_from_dict(data: dict) -> Instance:
     _check(weights.w_fly >= 0 and weights.w_hotel >= 0 and weights.w_pairing >= 0, "rules: weights must be nonnegative")
 
     inst = Instance(
-        name=data["name"],
+        name=name,
         airports=tuple(airports),
         legs=tuple(sorted(legs, key=lambda l: l.id)),
         rules=rules,
@@ -431,54 +389,16 @@ def instance_from_dict(data: dict) -> Instance:
 
 
 def instance_to_dict(inst: Instance) -> dict:
-    return {
-        "name": inst.name,
-        "airports": [
-            {
-                "code": a.code,
-                "is_base": a.is_base,
-                "min_airplane_turn": a.min_airplane_turn,
-                "min_crew_change": a.min_crew_change,
-            }
-            for a in inst.airports
-        ],
-        "legs": [
-            {
-                "id": l.id,
-                "dep_airport": l.dep_airport,
-                "arr_airport": l.arr_airport,
-                "dep_time": l.dep_time,
-                "arr_time": l.arr_time,
-            }
-            for l in inst.legs
-        ],
-        "rules": {
-            "T": inst.rules.T,
-            "n_a": inst.rules.n_a,
-            "max_legs_per_duty": inst.rules.max_legs_per_duty,
-            "reduced_rest_max_legs": inst.rules.reduced_rest_max_legs,
-            "reduced_rest_threshold": inst.rules.reduced_rest_threshold,
-            "F_table": [
-                {
-                    "from_hour": b.from_hour,
-                    "to_hour": b.to_hour,
-                    "limit_minutes": b.limit_minutes,
-                }
-                for b in inst.rules.F_table
-            ],
-            "short_band": list(inst.rules.short_band),
-            "alpha": inst.rules.alpha,
-            "beta": inst.rules.beta,
-            "gamma": inst.rules.gamma,
-            "kappa": inst.rules.kappa,
-            "max_pairing_days": inst.rules.max_pairing_days,
-            "weights": {
-                "w_fly": inst.rules.weights.w_fly,
-                "w_hotel": inst.rules.weights.w_hotel,
-                "w_pairing": inst.rules.weights.w_pairing,
-            },
-        },
-    }
+    """The JSON object of an instance: records become objects, tuples lists."""
+    return _plain(inst)
+
+
+def _plain(value):
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 def dumps_instance(inst: Instance) -> str:

@@ -37,7 +37,6 @@ def solve_mip(
         if bound >= incumbent_obj - PRUNE_EPS:
             break
         if nodes >= node_limit:
-            heapq.heappush(heap, (bound, -1, fixes))
             best_bound = min(bound, incumbent_obj)
             return MipResult(
                 MipStatus.NODE_LIMIT, incumbent_x, incumbent_obj, best_bound, nodes

@@ -453,12 +453,13 @@ def _cover_side_rows_ok(chosen: list[OraclePairing], rules) -> bool:
     return balance <= 1e-9
 
 
-def crew_pairing_brute_force(inst: Instance, connections: list[Connection]):
-    """Exact set partitioning over all pairings via exhaustive cover search.
+def _cheapest_cover(inst: Instance, pairings: list[OraclePairing], accept):
+    """Cheapest exact cover of the legs by pairings whose list ``accept``
+    admits, by exhaustive search that branches on the lowest uncovered leg
+    and prunes on the best cost found so far.
 
-    Returns (status, objective, chosen pairings).
+    Returns (cost, chosen pairings), or (inf, None) without a cover.
     """
-    pairings = enumerate_pairings(inst, connections)
     by_leg: dict[int, list[int]] = {l.id: [] for l in inst.legs}
     for idx, p in enumerate(pairings):
         for leg in p.legs:
@@ -471,9 +472,9 @@ def crew_pairing_brute_force(inst: Instance, connections: list[Connection]):
             return
         if not uncovered:
             picked = [pairings[i] for i in chosen]
-            if _cover_side_rows_ok(picked, inst.rules):
+            if accept(picked):
                 best[0] = cost
-                best[1] = list(chosen)
+                best[1] = picked
             return
         target = min(uncovered)
         for idx in by_leg[target]:
@@ -485,48 +486,40 @@ def crew_pairing_brute_force(inst: Instance, connections: list[Connection]):
             chosen.pop()
 
     recurse(frozenset(leg_ids), 0.0, [])
-    if best[1] is None:
+    return best[0], best[1]
+
+
+def crew_pairing_brute_force(inst: Instance, connections: list[Connection]):
+    """Exact set partitioning over all pairings via exhaustive cover search.
+
+    Returns (status, objective, chosen pairings).
+    """
+    cost, chosen = _cheapest_cover(
+        inst, enumerate_pairings(inst, connections),
+        lambda picked: _cover_side_rows_ok(picked, inst.rules),
+    )
+    if chosen is None:
         return "infeasible", math.inf, None
-    return "optimal", best[0], [pairings[i] for i in best[1]]
+    return "optimal", cost, chosen
 
 
 def integrated_brute_force(inst: Instance, connections: list[Connection]):
     """Joint optimum: cheapest crew cover whose short connections admit a
     feasible aircraft routing that honours them. Returns (status, objective).
     """
-    pairings = enumerate_pairings(inst, connections)
-    by_leg: dict[int, list[int]] = {l.id: [] for l in inst.legs}
-    for idx, p in enumerate(pairings):
-        for leg in p.legs:
-            by_leg[leg].append(idx)
-    leg_ids = sorted(by_leg)
-    best = [math.inf]
 
-    def recurse(uncovered: frozenset, cost: float, chosen: list[int]):
-        if cost >= best[0] - 1e-12:
-            return
-        if not uncovered:
-            picked = [pairings[i] for i in chosen]
-            if not _cover_side_rows_ok(picked, inst.rules):
-                return
-            forced: dict[int, int] = {}
-            for p in picked:
-                for a, b in p.shorts:
-                    forced[a] = b
-            res = routing_brute_force(inst, forced=forced)
-            if res.feasible:
-                best[0] = cost
-            return
-        target = min(uncovered)
-        for idx in by_leg[target]:
-            p = pairings[idx]
-            if any(l not in uncovered for l in p.legs):
-                continue
-            chosen.append(idx)
-            recurse(uncovered - frozenset(p.legs), cost + p.cost, chosen)
-            chosen.pop()
+    def flyable(picked: list[OraclePairing]) -> bool:
+        if not _cover_side_rows_ok(picked, inst.rules):
+            return False
+        forced: dict[int, int] = {}
+        for p in picked:
+            for a, b in p.shorts:
+                forced[a] = b
+        return routing_brute_force(inst, forced=forced).feasible
 
-    recurse(frozenset(leg_ids), 0.0, [])
-    if math.isinf(best[0]):
+    cost, chosen = _cheapest_cover(
+        inst, enumerate_pairings(inst, connections), flyable
+    )
+    if chosen is None:
         return "infeasible", math.inf
-    return "optimal", best[0]
+    return "optimal", cost

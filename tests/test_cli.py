@@ -46,6 +46,18 @@ def test_bad_kappa_exits_two(capsys, toy2_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("route", "--limit-nodes"),
+    ("pair", "--limit-paths"),
+    ("integrated", "--iteration-limit"),
+])
+def test_negative_limit_exits_two(capsys, toy2_path, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, toy2_path, flag, "-1"])
+    assert exc.value.code == 2
+    assert "limit must be a non-negative integer" in capsys.readouterr().err
+
+
 def test_bad_force_syntax_exits_two(capsys, toy2_path):
     with pytest.raises(SystemExit) as exc:
         main(["route", toy2_path, "--force", "0:1"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import random
@@ -24,6 +25,7 @@ from crewroute.instance import (
     cyclic_gap,
     dumps_instance,
     instance_from_dict,
+    instance_to_dict,
     load_instance,
     midnights_in_gap,
     save_instance,
@@ -291,3 +293,136 @@ def test_generator_rules_overrides():
                              seed=3, rules_overrides={"T": 5, "gamma": 1.0})
     assert inst.rules.T == 5
     assert inst.rules.gamma == 1.0
+
+
+# ---------------------------------------------------------------------------
+# exact format error messages, one corrupted field at a time
+
+_DROP = object()
+
+# (path into the toy2 file, value written there or _DROP, exact message)
+_PINNED_ERRORS = [
+    ((), [], "instance: expected an object"),
+    (("color",), 1, "instance: unknown key 'color'"),
+    (("rules",), _DROP, "instance: missing key 'rules'"),
+    (("name",), 3, "instance: 'name' must be a string"),
+    (("airports",), {}, "instance: 'airports' must be a list"),
+    (("legs",), "legs", "instance: 'legs' must be a list"),
+    (("airports", 0), 3, "airports[0]: expected an object"),
+    (("airports", 0, "color"), 1, "airports[0]: unknown key 'color'"),
+    (("airports", 1, "min_crew_change"), _DROP,
+     "airports[1]: missing key 'min_crew_change'"),
+    (("airports", 0, "code"), 3, "airports[0]: 'code' must be a string"),
+    (("airports", 1, "is_base"), 0, "airports[1]: 'is_base' must be a boolean"),
+    (("airports", 0, "min_airplane_turn"), "30",
+     "airports[0]: 'min_airplane_turn' must be an integer"),
+    (("airports", 1, "min_crew_change"), 45.0,
+     "airports[1]: 'min_crew_change' must be an integer"),
+    (("legs", 0), [], "legs[0]: expected an object"),
+    (("legs", 1, "color"), 1, "legs[1]: unknown key 'color'"),
+    (("legs", 1, "arr_time"), _DROP, "legs[1]: missing key 'arr_time'"),
+    (("legs", 0, "id"), "0", "legs[0]: 'id' must be an integer"),
+    (("legs", 0, "dep_airport"), 5, "legs[0]: 'dep_airport' must be a string"),
+    (("legs", 1, "arr_airport"), None,
+     "legs[1]: 'arr_airport' must be a string"),
+    (("legs", 0, "dep_time"), 480.5, "legs[0]: 'dep_time' must be an integer"),
+    (("legs", 1, "arr_time"), True, "legs[1]: 'arr_time' must be an integer"),
+    (("rules",), 3, "rules: expected an object"),
+    (("rules", "color"), 1, "rules: unknown key 'color'"),
+    (("rules", "weights"), _DROP, "rules: missing key 'weights'"),
+    (("rules", "T"), 3.0, "rules: 'T' must be an integer"),
+    (("rules", "n_a"), "1", "rules: 'n_a' must be an integer"),
+    (("rules", "max_legs_per_duty"), None,
+     "rules: 'max_legs_per_duty' must be an integer"),
+    (("rules", "reduced_rest_max_legs"), True,
+     "rules: 'reduced_rest_max_legs' must be an integer"),
+    (("rules", "reduced_rest_threshold"), 600.0,
+     "rules: 'reduced_rest_threshold' must be an integer"),
+    (("rules", "max_pairing_days"), "4",
+     "rules: 'max_pairing_days' must be an integer"),
+    (("rules", "alpha"), "0.5", "rules: 'alpha' must be a number"),
+    (("rules", "beta"), True, "rules: 'beta' must be a number"),
+    (("rules", "gamma"), None, "rules: 'gamma' must be a number"),
+    (("rules", "kappa"), "many", "rules: 'kappa' must be an integer or \"auto\""),
+    (("rules", "kappa"), 2.5, "rules: 'kappa' must be an integer or \"auto\""),
+    (("rules", "kappa"), False, "rules: 'kappa' must be an integer or \"auto\""),
+    (("rules", "F_table"), "bands", "rules: 'F_table' must be a non-empty list"),
+    (("rules", "F_table"), [], "rules: 'F_table' must be a non-empty list"),
+    (("rules", "F_table", 0), 3, "rules.F_table[0]: expected an object"),
+    (("rules", "F_table", 0, "color"), 1,
+     "rules.F_table[0]: unknown key 'color'"),
+    (("rules", "F_table", 1, "limit_minutes"), _DROP,
+     "rules.F_table[1]: missing key 'limit_minutes'"),
+    (("rules", "F_table", 0, "from_hour"), "0",
+     "rules.F_table[0]: 'from_hour' must be an integer"),
+    (("rules", "F_table", 1, "to_hour"), 24.0,
+     "rules.F_table[1]: 'to_hour' must be an integer"),
+    (("rules", "F_table", 0, "limit_minutes"), None,
+     "rules.F_table[0]: 'limit_minutes' must be an integer"),
+    (("rules", "short_band"), [30], "rules: 'short_band' must be a pair of integers"),
+    (("rules", "short_band"), "30,45",
+     "rules: 'short_band' must be a pair of integers"),
+    (("rules", "short_band"), [30, 45.0],
+     "rules: 'short_band' must be a pair of integers"),
+    (("rules", "short_band"), [True, 45],
+     "rules: 'short_band' must be a pair of integers"),
+    (("rules", "weights"), [], "rules.weights: expected an object"),
+    (("rules", "weights", "color"), 1, "rules.weights: unknown key 'color'"),
+    (("rules", "weights", "w_pairing"), _DROP,
+     "rules.weights: missing key 'w_pairing'"),
+    (("rules", "weights", "w_fly"), "1", "rules.weights: 'w_fly' must be a number"),
+    (("rules", "weights", "w_hotel"), True,
+     "rules.weights: 'w_hotel' must be a number"),
+    (("rules", "weights", "w_pairing"), None,
+     "rules.weights: 'w_pairing' must be a number"),
+    (("rules", "alpha"), math.inf, "rules: 'alpha' must be a finite number"),
+    (("rules", "weights", "w_hotel"), math.nan,
+     "rules.weights: 'w_hotel' must be a finite number"),
+    (("rules", "gamma"), 10**400, "rules: 'gamma' must be a finite number"),
+]
+
+
+def _corrupted(data: dict, path: tuple, value):
+    if not path:
+        return value
+    out = copy.deepcopy(data)
+    obj = out
+    for key in path[:-1]:
+        obj = obj[key]
+    if value is _DROP:
+        del obj[path[-1]]
+    else:
+        obj[path[-1]] = value
+    return out
+
+
+def test_format_errors_are_pinned(toy2):
+    data = json.loads(dumps_instance(toy2))
+    wrong = []
+    for path, value, message in _PINNED_ERRORS:
+        try:
+            instance_from_dict(_corrupted(data, path, value))
+        except InstanceFormatError as exc:
+            if str(exc) != message:
+                wrong.append((path, str(exc), message))
+        else:
+            wrong.append((path, "no error", message))
+    assert wrong == []
+
+
+def _plain_json(value) -> bool:
+    if isinstance(value, dict):
+        return all(isinstance(k, str) and _plain_json(v)
+                   for k, v in value.items())
+    if isinstance(value, list):
+        return all(_plain_json(v) for v in value)
+    return isinstance(value, (str, int, float, bool))
+
+
+def test_instance_to_dict_round_trips(toy2):
+    weeks = [generate_instance(n_airports=5, n_bases=2, n_legs=30,
+                               n_aircraft=3, seed=seed) for seed in (0, 3, 11)]
+    for inst in [toy2] + weeks:
+        d = instance_to_dict(inst)
+        assert _plain_json(d)
+        assert instance_from_dict(d) == inst
