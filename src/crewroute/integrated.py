@@ -12,6 +12,10 @@ deeper and trades optimality for fewer iterations.
 
 The same S can never come back: any crew solution using all of S violates
 its own cut, which is asserted each iteration.
+
+All iterations share one ``PairingSession``, so each cut is added to the
+networks, column pool and master basis of the previous iteration, and
+pairing resumes from there instead of starting over.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 from .instance import Connection, Instance, build_connections
-from .pairing import CutRow, PairingResult, solve_crew_pairing
+from .pairing import CutRow, PairingResult, PairingSession, solve_crew_pairing
 from .routing import RoutingResult, solve_routing
 
 
@@ -127,11 +131,14 @@ def solve_integrated(
             short_connections=len(short_connections_of(cp)) if cp else 0,
         )
 
+    # One pairing session for the whole loop: each iteration adds its cut
+    # to the same networks, pool and basis and re-solves from there.
+    session = PairingSession(inst, connections, kappa=kappa)
     for it in range(1, iteration_limit + 1):
         cp = solve_crew_pairing(
             inst, connections, cuts=tuple(cuts), kappa=kappa,
             path_limit=path_limit, node_limit=node_limit,
-            max_rounds=max_rounds,
+            max_rounds=max_rounds, session=session,
         )
         cg_iter_total += cp.iterations
         if lower_bound is None:

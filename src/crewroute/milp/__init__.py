@@ -1,10 +1,18 @@
 """Embedded LP/MIP toolkit: model container, simplex, branch and bound."""
 
 from .branch_bound import solve_mip
-from .model import LinearProgram, LpSolution, LpStatus, MipResult, MipStatus
+from .model import (
+    Basis,
+    LinearProgram,
+    LpSolution,
+    LpStatus,
+    MipResult,
+    MipStatus,
+)
 from .simplex import TOL_FEAS, TOL_PIVOT, solve_lp
 
 __all__ = [
+    "Basis",
     "LinearProgram",
     "LpSolution",
     "LpStatus",

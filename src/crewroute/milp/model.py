@@ -4,7 +4,9 @@ Models are built incrementally (rows over existing variables, variables
 with their coefficients in existing rows) and solved in minimization
 sense. Row relations are '<=', '=' or '>='. Dual values follow the
 convention that at a minimum the dual of a '<=' row is nonpositive and the
-dual of a '>=' row is nonnegative.
+dual of a '>=' row is nonnegative. A solved LP hands back its optimal
+``Basis``, which the next solve of a grown or re-bounded model can start
+from.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 RELATIONS = ("<=", "=", ">=")
+
+# Kind tags of the variables a basis names.
+STRUCTURAL, SLACK, ARTIFICIAL = "var", "slack", "artificial"
 
 
 class LpStatus(enum.Enum):
@@ -122,6 +127,26 @@ class LinearProgram:
         return float(np.dot(np.asarray(self.obj), x))
 
 
+@dataclass(frozen=True)
+class Basis:
+    """A simplex basis named so that it stays valid when columns or rows
+    are appended to the model.
+
+    ``basic`` holds one ``(kind, index)`` name per row: ``(STRUCTURAL, j)``
+    for variable ``j``, ``(SLACK, i)`` and ``(ARTIFICIAL, i)`` for the
+    slack and the artificial of row ``i``. ``at_upper`` lists the nonbasic
+    variables at their upper bound; every other nonbasic sits at its lower.
+    """
+
+    basic: tuple[tuple[str, int], ...]
+    at_upper: tuple[int, ...] = ()
+
+    def with_slack(self, row: int) -> "Basis":
+        """The basis of the model with row ``row`` appended: its slack
+        joins the basis."""
+        return Basis(self.basic + ((SLACK, row),), self.at_upper)
+
+
 @dataclass
 class LpSolution:
     status: LpStatus
@@ -130,6 +155,7 @@ class LpSolution:
     duals: np.ndarray | None
     reduced_costs: np.ndarray | None
     iterations: int
+    basis: Basis | None = None
 
 
 @dataclass

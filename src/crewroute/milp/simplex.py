@@ -8,6 +8,18 @@ numerical trouble as a distinct NUMERIC_FAILURE status rather than a wrong
 answer. The basis inverse is maintained by eta updates and refactorized
 periodically.
 
+A solve may resume from a ``Basis`` instead (``solve_lp(start=...)``): the
+basis is installed with the artificials fixed at zero and refactorized. A
+start that is primal feasible, as after appending columns, goes straight to
+phase 2. Otherwise, as after appending a row or fixing a variable, a
+bounded dual simplex first restores primal feasibility, and infeasibility
+is reported only from a row of ``B^-1 A`` whose range over the nonbasic
+boxes misses its basic variable's box, which is a Farkas proof. A start
+that names unknown or repeated variables, is singular, or whose dual phase
+hits its pivot cap or a row that proves nothing falls back to the cold
+two-phase solve. Without a start the solve is the cold one, pivot for
+pivot.
+
 The standard-form matrix is stored by columns (CSC: ``ptr``, ``rows``,
 ``vals``) and only its nonzeros are ever read, so work and memory grow with
 the nonzeros of the model, not with rows x columns.
@@ -20,12 +32,24 @@ from itertools import chain
 
 import numpy as np
 
-from .model import LinearProgram, LpSolution, LpStatus
+from .model import (
+    ARTIFICIAL,
+    SLACK,
+    STRUCTURAL,
+    Basis,
+    LinearProgram,
+    LpSolution,
+    LpStatus,
+)
 
 TOL_FEAS = 1e-7
 TOL_PIVOT = 1e-9
 DEGENERATE_STREAK = 40
 REFACTOR_EVERY = 64
+# A warm start's dual phase gives up, and the solve restarts cold, after
+# this many pivots per row (plus the minimum).
+DUAL_PIVOTS_PER_ROW = 2
+DUAL_PIVOTS_MIN = 50
 
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
 _TIE_SLACK = 1e-12
@@ -77,7 +101,7 @@ def ratio_test(
 class _Tableau:
     """Standard-form working copy: equality rows, variables in [0, ub]."""
 
-    def __init__(self, lp: LinearProgram, overrides=None):
+    def __init__(self, lp: LinearProgram, overrides=None, extra_art=()):
         n = lp.n_vars
         m = lp.n_rows
         lo = np.array(lp.lower)
@@ -118,6 +142,10 @@ class _Tableau:
         seeded = slack_vals == 1.0
         self.basis[slack_rows[seeded]] = n + np.flatnonzero(seeded)
         art_rows = np.flatnonzero(self.basis >= self.art_start)
+        if extra_art:
+            # artificials a warm start names on rows a slack seeds
+            art_rows = np.union1d(art_rows, np.asarray(extra_art, np.int64))
+        self.slack_rows = slack_rows
 
         self.rows = np.concatenate([row_of, slack_rows, art_rows])
         self.vals = np.concatenate([val, slack_vals, np.ones(art_rows.shape[0])])
@@ -278,37 +306,142 @@ def _drive_out_artificials(t: _Tableau) -> None:
         t.xb[r] = 0.0 if old_stat == _AT_LOWER else t.ub[enter]
 
 
-def solve_lp(
-    lp: LinearProgram,
-    bound_overrides: dict[int, tuple[float, float]] | None = None,
-    max_pivots: int | None = None,
-) -> LpSolution:
-    """Minimize the LP relaxation; binaries are treated as their boxes."""
-    t = _Tableau(lp, bound_overrides)
+def _install(t: _Tableau, start: Basis) -> bool:
+    """Make ``start`` the tableau's basis with the artificials fixed at zero;
+    False when it names unknown or repeated variables or is singular."""
     m = t.b.shape[0]
+    n = t.n_orig
+    slack_col = np.full(m, -1, dtype=np.int64)
+    slack_col[t.slack_rows] = n + np.arange(t.slack_rows.shape[0])
+    cols = []
+    for kind, i in start.basic:
+        if kind == STRUCTURAL and 0 <= i < n:
+            cols.append(i)
+        elif kind == SLACK and 0 <= i < m and slack_col[i] >= 0:
+            cols.append(int(slack_col[i]))
+        elif kind == ARTIFICIAL and 0 <= i < m:
+            cols.append(t.art_start + i)
+        else:
+            return False
+    if len(cols) != m or len(set(cols)) != m:
+        return False
+    t.basis = np.array(cols, dtype=np.int64)
+    t.vstat[:] = _AT_LOWER
+    upper = [j for j in start.at_upper if 0 <= j < n and math.isfinite(t.ub[j])]
+    t.vstat[upper] = _AT_UPPER
+    t.vstat[t.basis] = _BASIC
+    t.ub[t.art_start:] = 0.0
+    return _refactor(t)
+
+
+def _farkas_row(t: _Tableau, r: int, alpha: np.ndarray, ptol: float) -> bool:
+    """Whether row ``r`` of ``B^-1 A x = B^-1 b`` proves the LP infeasible.
+
+    The row pins basic ``r`` to ``beta - sum_j alpha_j x_j`` over the
+    nonbasics. If the range of that over the nonbasic boxes misses the basic
+    variable's own box, no point satisfies the rows and bounds together.
+    Entries of ``alpha`` within the pivot tolerance are rounding noise of
+    exact zeros (no pivot ever takes them) and count as zero.
+    """
+    a = np.where((t.vstat == _BASIC) | (np.abs(alpha) <= TOL_PIVOT), 0.0, alpha)
+    beta = float(t.binv[r] @ t.b)
+    neg, pos = a < 0.0, a > 0.0
+    low_part = float(a[neg] @ t.ub[neg])  # most negative sum_j a_j x_j
+    high_part = float(a[pos] @ t.ub[pos])
+    finite = np.isfinite(t.ub)
+    spread = float(np.abs(a[finite] * t.ub[finite]).sum())
+    tol = ptol + TOL_FEAS * (abs(beta) + spread)
+    if t.xb[r] < 0.0:
+        return beta - low_part < -tol
+    return bool(beta - high_part > t.ub[t.basis[r]] + tol)
+
+
+def _dual_iterate(t: _Tableau, max_pivots: int) -> tuple[str, int]:
+    """Bounded dual simplex from the installed basis to primal feasibility.
+
+    Returns (state, count): "feasible", "infeasible" when a Farkas row
+    proves it, or "stuck" at the pivot cap, on a singular refactor, or at a
+    row with no entering column that proves nothing. The most violated basic
+    leaves at the bound it broke; the entering column keeps the reduced
+    costs' signs, ties to the largest pivot. Reduced costs of the wrong sign
+    count as zero, so a start that is not dual feasible still moves; phase 2
+    repairs them.
+    """
     ncols = t.cost.shape[0]
-    if max_pivots is None:
-        max_pivots = max(5000, 100 * (m + ncols))
+    cost_b = t.cost[t.basis]
+    sign = np.where(t.vstat == _AT_LOWER, 1.0, -1.0)
+    sign[(t.vstat == _BASIC) | ~(t.ub > 0)] = 0.0
+    ptol = TOL_FEAS * max(1.0, float(np.abs(t.b).max(initial=0.0)))
+    pivots = 0
+    since_refactor = 0
+    while True:
+        ub_b = t.ub[t.basis]
+        viol = np.maximum(-t.xb, t.xb - ub_b)
+        r = int(viol.argmax()) if viol.size else 0
+        if not viol.size or viol[r] <= ptol:
+            return "feasible", pivots
+        if pivots >= max_pivots:
+            return "stuck", pivots
+        below = t.xb[r] < 0.0
+        alpha = t.row_times(t.binv[r], ncols)
+        # Entering j moves x_B(r) by -alpha_j per unit along sign_j; it must
+        # move toward the broken bound.
+        toward = sign * alpha * (1.0 if below else -1.0)
+        cand = (toward < -TOL_PIVOT).nonzero()[0]
+        if not cand.size:
+            if since_refactor:
+                # judge the row on a fresh inverse
+                if not _refactor(t):
+                    return "stuck", pivots
+                since_refactor = 0
+                continue
+            return ("infeasible" if _farkas_row(t, r, alpha, ptol) else "stuck"), pivots
+        y = cost_b @ t.binv
+        d = t.cost[cand] - t.row_times(y, ncols)[cand]
+        ratio = np.maximum(sign[cand] * d, 0.0) / -toward[cand]
+        tied = cand[ratio <= ratio.min() + _TIE_SLACK]
+        q = int(tied[np.abs(alpha[tied]).argmax()])
+        u = t.ftran(q)
+        target = 0.0 if below else ub_b[r]
+        theta = (t.xb[r] - target) / u[r]
+        entering_value = (0.0 if t.vstat[q] == _AT_LOWER else t.ub[q]) + theta
+        t.xb -= theta * u
+        leaving = t.basis[r]
+        t.vstat[leaving] = _AT_LOWER if below else _AT_UPPER
+        sign[leaving] = (1.0 if below else -1.0) if t.ub[leaving] > 0 else 0.0
+        eta_update(t.binv, u, r)
+        t.basis[r] = q
+        cost_b[r] = t.cost[q]
+        t.vstat[q] = _BASIC
+        sign[q] = 0.0
+        t.xb[r] = entering_value
+        pivots += 1
+        since_refactor += 1
+        if since_refactor >= REFACTOR_EVERY:
+            if not _refactor(t):
+                return "stuck", pivots
+            since_refactor = 0
 
-    if m > 0:
-        real_cost = t.cost
-        t.cost = np.zeros(ncols)
-        t.cost[t.art_start:] = 1.0
-        state, it1 = _iterate(t, max_pivots)
-        if state == "limit":
-            return LpSolution(LpStatus.NUMERIC_FAILURE, None, math.nan, None, None, it1)
-        phase1_obj = float(t.cost[t.basis] @ t.xb)
-        ptol = TOL_FEAS * max(1.0, float(np.abs(t.b).max(initial=0.0)))
-        if phase1_obj > ptol:
-            return LpSolution(LpStatus.INFEASIBLE, None, math.inf, None, None, it1)
-        _drive_out_artificials(t)
-        t.ub[t.art_start:] = 0.0
-        t.cost = real_cost
-    else:
-        it1 = 0
 
+def _basis_of(t: _Tableau) -> Basis:
+    n = t.n_orig
+    names = []
+    for j in t.basis.tolist():
+        if j < n:
+            names.append((STRUCTURAL, j))
+        elif j < t.art_start:
+            names.append((SLACK, int(t.slack_rows[j - n])))
+        else:
+            names.append((ARTIFICIAL, j - t.art_start))
+    at_upper = np.flatnonzero(t.vstat[:n] == _AT_UPPER)
+    return Basis(tuple(names), tuple(at_upper.tolist()))
+
+
+def _phase2(lp: LinearProgram, t: _Tableau, max_pivots: int, pivots: int) -> LpSolution:
+    """Optimize the true objective from a feasible basis and report."""
+    m = t.b.shape[0]
     state, it2 = _iterate(t, max_pivots)
-    iterations = it1 + it2
+    iterations = pivots + it2
     if state == "limit":
         return LpSolution(LpStatus.NUMERIC_FAILURE, None, math.nan, None, None, iterations)
     if state == "unbounded":
@@ -341,4 +474,75 @@ def solve_lp(
     duals = y * t.flip
     reduced = np.array(lp.obj) - t.row_times(y, t.n_orig)
     objective = float(np.array(lp.obj) @ x)
-    return LpSolution(LpStatus.OPTIMAL, x, objective, duals, reduced, iterations)
+    return LpSolution(LpStatus.OPTIMAL, x, objective, duals, reduced, iterations,
+                      _basis_of(t))
+
+
+def _solve_warm(
+    lp: LinearProgram,
+    bound_overrides: dict[int, tuple[float, float]] | None,
+    max_pivots: int,
+    start: Basis,
+) -> tuple[LpSolution | None, int]:
+    """Solve from ``start``: (solution, pivots), or (None, pivots spent)
+    when the start is malformed or singular or the warm solve gives up."""
+    m = lp.n_rows
+    extra = sorted({i for kind, i in start.basic
+                    if kind == ARTIFICIAL and 0 <= i < m})
+    t = _Tableau(lp, bound_overrides, extra)
+    if not _install(t, start):
+        return None, 0
+    cap = min(max_pivots, DUAL_PIVOTS_PER_ROW * m + DUAL_PIVOTS_MIN)
+    state, pivots = _dual_iterate(t, cap)
+    if state == "infeasible":
+        sol = LpSolution(LpStatus.INFEASIBLE, None, math.inf, None, None, pivots)
+        return sol, pivots
+    if state == "stuck":
+        return None, pivots
+    sol = _phase2(lp, t, max_pivots, pivots)
+    if sol.status == LpStatus.NUMERIC_FAILURE:
+        return None, sol.iterations
+    return sol, sol.iterations
+
+
+def solve_lp(
+    lp: LinearProgram,
+    bound_overrides: dict[int, tuple[float, float]] | None = None,
+    max_pivots: int | None = None,
+    start: Basis | None = None,
+) -> LpSolution:
+    """Minimize the LP relaxation; binaries are treated as their boxes.
+
+    ``start`` is a basis to resume from, typically ``LpSolution.basis`` of
+    the same model before columns, rows or bound fixes were added.
+    """
+    if max_pivots is None:
+        ncols = lp.n_vars + sum(rel != "=" for rel in lp.relations) + lp.n_rows
+        max_pivots = max(5000, 100 * (lp.n_rows + ncols))
+    spent = 0
+    if start is not None:
+        sol, spent = _solve_warm(lp, bound_overrides, max_pivots, start)
+        if sol is not None:
+            return sol
+
+    t = _Tableau(lp, bound_overrides)
+    m = t.b.shape[0]
+    ncols = t.cost.shape[0]
+    if m > 0:
+        real_cost = t.cost
+        t.cost = np.zeros(ncols)
+        t.cost[t.art_start:] = 1.0
+        state, it1 = _iterate(t, max_pivots)
+        it1 += spent
+        if state == "limit":
+            return LpSolution(LpStatus.NUMERIC_FAILURE, None, math.nan, None, None, it1)
+        phase1_obj = float(t.cost[t.basis] @ t.xb)
+        ptol = TOL_FEAS * max(1.0, float(np.abs(t.b).max(initial=0.0)))
+        if phase1_obj > ptol:
+            return LpSolution(LpStatus.INFEASIBLE, None, math.inf, None, None, it1)
+        _drive_out_artificials(t)
+        t.ub[t.art_start:] = 0.0
+        t.cost = real_cost
+    else:
+        it1 = spent
+    return _phase2(lp, t, max_pivots, it1)

@@ -1,5 +1,5 @@
 from .algebra import PairingAlgebra
-from .colgen import PairingResult, solve_crew_pairing
+from .colgen import PairingResult, PairingSession, solve_crew_pairing
 from .master import CutRow, MasterProblem
 from .network import (
     PairingColumn,
@@ -11,6 +11,7 @@ from .network import (
 __all__ = [
     "PairingAlgebra",
     "PairingResult",
+    "PairingSession",
     "solve_crew_pairing",
     "CutRow",
     "MasterProblem",

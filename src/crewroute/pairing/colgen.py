@@ -7,7 +7,19 @@ value as the lower bound. A first integer solve gives an upper bound, then
 every pairing whose reduced cost under the converged duals is at most the
 gap is enumerated into the master and a final integer solve closes the
 loop. The final answer is provably optimal exactly when no enumeration was
-truncated and no artificial column stayed active.
+truncated and no artificial column stayed active. When the first integer
+solve is artificial-free and already within the pad of the lower bound it
+is the proven optimum, and nothing is enumerated.
+
+A ``PairingSession`` keeps this state between solves of one instance: the
+window networks and their pricers, the master with its column pool, and
+the last optimal master basis. Each master LP resumes from the previous
+one's basis, and each integer solve starts its root from the converged
+column-generation basis. A short-connection cut (``add_cut``) appends one
+master row, whose slack joins the basis, and refreshes each window's arc
+resources and state graph for the extra cut count; every pooled column
+stays. The integrated loop therefore re-solves instead of restarting, and
+a report's ``n_columns`` is the size of the session's pool.
 
 The master LP is solved with column upper bounds relaxed to infinity. The
 cover equalities already imply y <= 1, so the optimum is unchanged, and it
@@ -22,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 from ..instance import Connection, Instance, build_connections
-from ..milp import LpStatus, MipStatus, solve_lp, solve_mip
+from ..milp import Basis, LpStatus, MipStatus, solve_lp, solve_mip
 from ..rcsp import build_state_graph, enumerate_within, solve, update_bounds
 from .algebra import PairingAlgebra
 from .master import CutRow, MasterProblem
@@ -89,13 +101,19 @@ class _WindowPricer:
                  base_algebra: PairingAlgebra,
                  cut_sets: tuple[frozenset, ...], kappa):
         self.net = net
-        net.graph.resources = arc_resources(net, inst, base_algebra, {},
-                                            cut_sets)
-        self.state_graph = build_state_graph(net.graph, base_algebra, kappa)
-        # Duals only move z: keep each arc's dual-free z and the leg whose
-        # cover dual it pays.
-        self.base_z = [base_algebra.scalar(q) for q in net.graph.resources]
+        self.kappa = kappa
+        # Duals only move z: keep the leg whose cover dual each arc pays.
         self.dual_legs = arc_dual_legs(net)
+        self.set_cuts(inst, base_algebra, cut_sets)
+
+    def set_cuts(self, inst: Instance, base_algebra: PairingAlgebra,
+                 cut_sets: tuple[frozenset, ...]) -> None:
+        """Dual-free arc resources and the state graph for a cut pool."""
+        graph = self.net.graph
+        graph.resources = arc_resources(self.net, inst, base_algebra, {},
+                                        cut_sets)
+        self.state_graph = build_state_graph(graph, base_algebra, self.kappa)
+        self.base_z = [base_algebra.scalar(q) for q in graph.resources]
         self.algebra = base_algebra
 
     def reprice(self, algebra: PairingAlgebra, leg_duals: dict[int, float]):
@@ -115,6 +133,199 @@ class _WindowPricer:
                                 path_limit)
 
 
+class PairingSession:
+    """Column-generation state of one instance, kept across cut rounds."""
+
+    def __init__(self, inst: Instance,
+                 connections: list[Connection] | None = None,
+                 cuts: tuple[CutRow, ...] = (), kappa=None):
+        if connections is None:
+            connections = build_connections(inst)
+        self.inst = inst
+        self.master = MasterProblem(inst, tuple(cuts))
+        self.basis: Basis | None = None
+        self.base_algebra = self._algebra()
+        kappa = inst.rules.kappa if kappa is None else kappa
+        cut_sets = self._cut_sets()
+        self.pricers = [
+            _WindowPricer(n, inst, self.base_algebra, cut_sets, kappa)
+            for n in build_pricing_networks(inst, connections)
+        ]
+
+    @property
+    def cuts(self) -> tuple[CutRow, ...]:
+        return self.master.cuts
+
+    def _algebra(self) -> PairingAlgebra:
+        rules = self.inst.rules
+        return PairingAlgebra(rules.max_legs_per_duty, rules.F_max,
+                              rules.alpha, rules.beta,
+                              n_cuts=len(self.cuts))
+
+    def _cut_sets(self) -> tuple[frozenset, ...]:
+        return tuple(c.conns for c in self.cuts)
+
+    def add_cut(self, cut: CutRow) -> None:
+        """Add a cut row to the master, its slack to the basis and its count
+        to every window's arc resources."""
+        row = self.master.add_cut(cut)
+        if self.basis is not None:
+            self.basis = self.basis.with_slack(row)
+        self.base_algebra = self._algebra()
+        cut_sets = self._cut_sets()
+        for pricer in self.pricers:
+            pricer.set_cuts(self.inst, self.base_algebra, cut_sets)
+
+    def solve(self, path_limit: int = 200_000, node_limit: int = 200_000,
+              max_rounds: int = 500) -> PairingResult:
+        """Column generation, completion and the master MIP under the
+        session's cuts, resumed from its pool and basis."""
+        inst, master, pricers = self.inst, self.master, self.pricers
+        base_algebra = self.base_algebra
+        stats = {
+            "pricing_rounds": 0,
+            "columns_priced": 0,
+            "columns_completion": 0,
+            "lp_values": [],
+            "paths_enumerated": 0,
+            "cut_dom": 0,
+            "cut_low": 0,
+            "kappa": [p.state_graph.kappa for p in pricers],
+        }
+
+        def tally(st):
+            stats["paths_enumerated"] += st.paths_enumerated
+            stats["cut_dom"] += st.cut_dom
+            stats["cut_low"] += st.cut_low
+
+        def result(status, c_lb, c_ub, truncated, proven=False, mip=None,
+                   uncovered=()):
+            """The report; ``mip`` is the final solve when it picked
+            pairings."""
+            pairings = [] if mip is None else sorted(master.selected(mip.x),
+                                                     key=lambda p: p.legs)
+            return PairingResult(
+                status=status,
+                objective=math.inf if mip is None else mip.objective,
+                c_lb=c_lb, c_ub_initial=c_ub, provably_optimal=proven,
+                pairings=pairings, uncovered_legs=list(uncovered),
+                iterations=stats["pricing_rounds"],
+                n_columns=len(master.columns),
+                truncated=truncated, stats=stats,
+            )
+
+        def check_column(col: PairingColumn, model_cost: float, duals) -> None:
+            rc = master.reduced_cost(col, duals)
+            if abs(rc - model_cost) > 1e-5 * max(1.0, abs(rc)):
+                raise RuntimeError(
+                    f"pricing arithmetic mismatch: network {model_cost!r} "
+                    f"vs master {rc!r} for legs {col.legs}"
+                )
+
+        # Step 1-3: price until no pairing has reduced cost below
+        # -PRICING_TOL. New columns enter nonbasic at zero, so the previous
+        # round's basis is a primal feasible start.
+        lp_sol = None
+        converged = False
+        while stats["pricing_rounds"] < max_rounds:
+            relax = {v: (0.0, math.inf) for v in master.col_vars}
+            lp_sol = solve_lp(master.lp, bound_overrides=relax,
+                              start=self.basis)
+            if lp_sol.status != LpStatus.OPTIMAL:
+                raise RuntimeError(f"master LP ended {lp_sol.status.value}")
+            self.basis = lp_sol.basis
+            stats["lp_values"].append(lp_sol.objective)
+            stats["pricing_rounds"] += 1
+            leg_duals, mu, nu, sigma = master.duals_of(lp_sol.duals)
+            algebra = base_algebra.with_duals(mu, nu, sigma)
+
+            added = 0
+            for pricer in pricers:
+                cost, path, st = pricer.reprice(algebra, leg_duals)
+                tally(st)
+                if path is None or cost >= -PRICING_TOL:
+                    continue
+                col = decode_pairing(pricer.net, inst, path)
+                if master.has_column(col):
+                    continue
+                check_column(col, cost, lp_sol.duals)
+                master.add_column(col)
+                added += 1
+            stats["columns_priced"] += added
+            if added == 0:
+                converged = True
+                break
+
+        if not converged:
+            return result("limit", None, None, truncated=True)
+
+        c_lb = lp_sol.objective
+        final_duals = lp_sol.duals
+
+        # Uncoverable legs keep their artificial active even in the LP, and
+        # the LP relaxes the integer problem, so this is a proof of
+        # infeasibility.
+        lp_uncovered = master.active_artificials(lp_sol.x)
+        if lp_uncovered:
+            return result("infeasible", c_lb, None, truncated=False,
+                          proven=True, uncovered=lp_uncovered)
+
+        # Step 4: first integer solve gives the upper bound.
+        mip1 = solve_mip(master.lp, node_limit=node_limit, start=self.basis)
+        if mip1.status == MipStatus.NODE_LIMIT and mip1.x is None:
+            return result("limit", c_lb, None, truncated=True)
+        if mip1.status == MipStatus.INFEASIBLE:
+            raise RuntimeError("master with artificial columns cannot be "
+                               "infeasible")
+        c_ub = mip1.objective
+        truncated = mip1.status == MipStatus.NODE_LIMIT
+
+        # An artificial-free optimum within the pad of the LP bound over
+        # every column is optimal: there is nothing left to enumerate.
+        if (mip1.status == MipStatus.OPTIMAL
+                and c_ub <= c_lb + COMPLETION_PAD
+                and not master.active_artificials(mip1.x)):
+            return result("optimal", c_lb, c_ub, False, proven=True,
+                          mip=mip1)
+
+        # Step 5: enumerate every column whose reduced cost under the
+        # converged duals is within the optimality gap.
+        threshold = (c_ub - c_lb) + COMPLETION_PAD
+        for pricer in pricers:
+            entries, st = pricer.enumerate(threshold, path_limit)
+            tally(st)
+            truncated = truncated or st.truncated
+            for path, _q, cost in entries:
+                col = decode_pairing(pricer.net, inst, path)
+                if master.has_column(col):
+                    continue
+                check_column(col, cost, final_duals)
+                master.add_column(col)
+                stats["columns_completion"] += 1
+
+        # Step 6: final integer solve over the completed pool.
+        mip2 = solve_mip(master.lp, node_limit=node_limit, start=self.basis)
+        if mip2.status == MipStatus.INFEASIBLE:
+            raise RuntimeError("master with artificial columns cannot be "
+                               "infeasible")
+        if mip2.x is None:
+            return result("limit", c_lb, c_ub, truncated=True)
+        truncated = truncated or mip2.status == MipStatus.NODE_LIMIT
+
+        uncovered = master.active_artificials(mip2.x)
+        if uncovered:
+            # No integer cover exists among all columns within the
+            # threshold; if nothing was truncated this proves the instance
+            # has no crew solution.
+            return result("infeasible" if not truncated else "limit", c_lb,
+                          c_ub, truncated, proven=not truncated,
+                          uncovered=uncovered)
+
+        proven = (not truncated) and mip2.status == MipStatus.OPTIMAL
+        return result("optimal" if proven else "feasible", c_lb, c_ub,
+                      truncated, proven=proven, mip=mip2)
+
+
 def solve_crew_pairing(
     inst: Instance,
     connections: list[Connection] | None = None,
@@ -123,142 +334,22 @@ def solve_crew_pairing(
     path_limit: int = 200_000,
     node_limit: int = 200_000,
     max_rounds: int = 500,
+    session: PairingSession | None = None,
 ) -> PairingResult:
-    if connections is None:
-        connections = build_connections(inst)
-    rules = inst.rules
-    if kappa is None:
-        kappa = rules.kappa
-    cut_sets = tuple(c.conns for c in cuts)
-    base_algebra = PairingAlgebra(
-        rules.max_legs_per_duty, rules.F_max, rules.alpha, rules.beta,
-        n_cuts=len(cuts),
-    )
-    nets = build_pricing_networks(inst, connections)
-    pricers = [_WindowPricer(n, inst, base_algebra, cut_sets, kappa)
-               for n in nets]
-    master = MasterProblem(inst, cuts)
+    """Solve crew pairing under ``cuts`` by column generation.
 
-    stats = {
-        "pricing_rounds": 0,
-        "columns_priced": 0,
-        "columns_completion": 0,
-        "lp_values": [],
-        "paths_enumerated": 0,
-        "cut_dom": 0,
-        "cut_low": 0,
-        "kappa": [p.state_graph.kappa for p in pricers],
-    }
-
-    def tally(st):
-        stats["paths_enumerated"] += st.paths_enumerated
-        stats["cut_dom"] += st.cut_dom
-        stats["cut_low"] += st.cut_low
-
-    def result(status, c_lb, c_ub, truncated, proven=False, mip=None,
-               uncovered=()):
-        """The report; ``mip`` is the final solve when it picked pairings."""
-        pairings = [] if mip is None else sorted(master.selected(mip.x),
-                                                 key=lambda p: p.legs)
-        return PairingResult(
-            status=status,
-            objective=math.inf if mip is None else mip.objective,
-            c_lb=c_lb, c_ub_initial=c_ub, provably_optimal=proven,
-            pairings=pairings, uncovered_legs=list(uncovered),
-            iterations=stats["pricing_rounds"], n_columns=len(master.columns),
-            truncated=truncated, stats=stats,
-        )
-
-    def check_column(col: PairingColumn, model_cost: float, duals) -> None:
-        rc = master.reduced_cost(col, duals)
-        if abs(rc - model_cost) > 1e-5 * max(1.0, abs(rc)):
-            raise RuntimeError(
-                f"pricing arithmetic mismatch: network {model_cost!r} "
-                f"vs master {rc!r} for legs {col.legs}"
-            )
-
-    # Step 1-3: price until no pairing has reduced cost below -PRICING_TOL.
-    lp_sol = None
-    converged = False
-    while stats["pricing_rounds"] < max_rounds:
-        relax = {v: (0.0, math.inf) for v in master.col_vars}
-        lp_sol = solve_lp(master.lp, bound_overrides=relax)
-        if lp_sol.status != LpStatus.OPTIMAL:
-            raise RuntimeError(f"master LP ended {lp_sol.status.value}")
-        stats["lp_values"].append(lp_sol.objective)
-        stats["pricing_rounds"] += 1
-        leg_duals, mu, nu, sigma = master.duals_of(lp_sol.duals)
-        algebra = base_algebra.with_duals(mu, nu, sigma)
-
-        added = 0
-        for pricer in pricers:
-            cost, path, st = pricer.reprice(algebra, leg_duals)
-            tally(st)
-            if path is None or cost >= -PRICING_TOL:
-                continue
-            col = decode_pairing(pricer.net, inst, path)
-            if master.has_column(col):
-                continue
-            check_column(col, cost, lp_sol.duals)
-            master.add_column(col)
-            added += 1
-        stats["columns_priced"] += added
-        if added == 0:
-            converged = True
-            break
-
-    if not converged:
-        return result("limit", None, None, truncated=True)
-
-    c_lb = lp_sol.objective
-    final_duals = lp_sol.duals
-
-    # Uncoverable legs keep their artificial active even in the LP, and the
-    # LP relaxes the integer problem, so this is a proof of infeasibility.
-    lp_uncovered = master.active_artificials(lp_sol.x)
-    if lp_uncovered:
-        return result("infeasible", c_lb, None, truncated=False, proven=True,
-                      uncovered=lp_uncovered)
-
-    # Step 4: first integer solve gives the upper bound.
-    mip1 = solve_mip(master.lp, node_limit=node_limit)
-    if mip1.status == MipStatus.NODE_LIMIT and mip1.x is None:
-        return result("limit", c_lb, None, truncated=True)
-    if mip1.status == MipStatus.INFEASIBLE:
-        raise RuntimeError("master with artificial columns cannot be infeasible")
-    c_ub = mip1.objective
-    truncated = mip1.status == MipStatus.NODE_LIMIT
-
-    # Step 5: enumerate every column whose reduced cost under the converged
-    # duals is within the optimality gap.
-    threshold = (c_ub - c_lb) + COMPLETION_PAD
-    for pricer in pricers:
-        entries, st = pricer.enumerate(threshold, path_limit)
-        tally(st)
-        truncated = truncated or st.truncated
-        for path, _q, cost in entries:
-            col = decode_pairing(pricer.net, inst, path)
-            if master.has_column(col):
-                continue
-            check_column(col, cost, final_duals)
-            master.add_column(col)
-            stats["columns_completion"] += 1
-
-    # Step 6: final integer solve over the completed pool.
-    mip2 = solve_mip(master.lp, node_limit=node_limit)
-    if mip2.status == MipStatus.INFEASIBLE:
-        raise RuntimeError("master with artificial columns cannot be infeasible")
-    if mip2.x is None:
-        return result("limit", c_lb, c_ub, truncated=True)
-    truncated = truncated or mip2.status == MipStatus.NODE_LIMIT
-
-    uncovered = master.active_artificials(mip2.x)
-    if uncovered:
-        # No integer cover exists among all columns within the threshold; if
-        # nothing was truncated this proves the instance has no crew solution.
-        return result("infeasible" if not truncated else "limit", c_lb, c_ub,
-                      truncated, proven=not truncated, uncovered=uncovered)
-
-    proven = (not truncated) and mip2.status == MipStatus.OPTIMAL
-    return result("optimal" if proven else "feasible", c_lb, c_ub, truncated,
-                  proven=proven, mip=mip2)
+    ``session`` resumes an open session of ``inst`` whose cuts are a prefix
+    of ``cuts``: it gains the rest and keeps its networks, kappa, column
+    pool and basis. Without one, a fresh session is opened.
+    """
+    cuts = tuple(cuts)
+    if session is None:
+        session = PairingSession(inst, connections, cuts, kappa)
+    else:
+        have = session.cuts
+        if session.inst is not inst or cuts[:len(have)] != have:
+            raise ValueError("session belongs to another instance or cut "
+                             "sequence")
+        for cut in cuts[len(have):]:
+            session.add_cut(cut)
+    return session.solve(path_limit, node_limit, max_rounds)

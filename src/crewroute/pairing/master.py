@@ -2,10 +2,10 @@
 
 Rows, in fixed order: one cover equality per leg (exactly one pairing per
 leg), the long-pairing share row, the long/short duty balance row, then one
-row per active short-connection cut. Pairing columns are binary; artificial
-single-cover columns are continuous with a large cost so the LP stays
-feasible while pricing fills the pool, and any artificial still active at
-the end flags uncoverable legs.
+row per active short-connection cut, appended as cuts arrive (``add_cut``).
+Pairing columns are binary; artificial single-cover columns are continuous
+with a large cost so the LP stays feasible while pricing fills the pool,
+and any artificial still active at the end flags uncoverable legs.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ def artificial_cost(inst: Instance) -> float:
 class MasterProblem:
     def __init__(self, inst: Instance, cuts: tuple[CutRow, ...] = ()):
         self.inst = inst
-        self.cuts = cuts
         self.leg_ids = sorted(l.id for l in inst.legs)
         self.lp = LinearProgram()
         self.columns: list[PairingColumn] = []
@@ -61,7 +60,22 @@ class MasterProblem:
         }
         self.alpha_row = self.lp.add_row({}, "<=", 0.0)
         self.beta_row = self.lp.add_row({}, "<=", 0.0)
-        self.cut_rows = [self.lp.add_row({}, "<=", cut.rhs) for cut in cuts]
+        self.cuts: tuple[CutRow, ...] = ()
+        self.cut_rows: list[int] = []
+        for cut in cuts:
+            self.add_cut(cut)
+
+    def add_cut(self, cut: CutRow) -> int:
+        """Append the cut's row; every pooled column gets its coefficient."""
+        coefs = {}
+        for col, var in zip(self.columns, self.col_vars):
+            n = len(set(col.shorts) & cut.conns)
+            if n:
+                coefs[var] = float(n)
+        row = self.lp.add_row(coefs, "<=", cut.rhs)
+        self.cuts += (cut,)
+        self.cut_rows.append(row)
+        return row
 
     def has_column(self, col: PairingColumn) -> bool:
         return col.legs in self._seen

@@ -204,3 +204,99 @@ def test_report_shape_and_determinism(toy2):
     assert a["pairing"]["objective"] == pytest.approx(300.0)
     assert a["routing"]["aircraft_used"] == 1
     assert "total_time_ms" not in a["stats"]
+
+
+# ---------------------------------------------------------------------------
+# one pairing session per loop
+
+
+def _cut_loop_weeks(overcut):
+    """Weeks whose gamma=1 loop runs several iterations."""
+    weeks = [overcut]
+    for n_legs, seed in ((10, 8), (16, 9), (24, 5)):
+        weeks.append(generate_instance(n_airports=4, n_bases=2, n_legs=n_legs,
+                                       n_aircraft=3, seed=seed,
+                                       rules_overrides={"T": 2}))
+    return weeks
+
+
+def _traced_loop(monkeypatch, inst, gamma=1.0):
+    """Run the loop and record each pairing call's cuts and result."""
+    import crewroute.integrated as integrated
+
+    calls = []
+    solve = integrated.solve_crew_pairing
+
+    def traced(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        calls.append((kwargs["cuts"], res))
+        return res
+
+    monkeypatch.setattr(integrated, "solve_crew_pairing", traced)
+    res = solve_integrated(inst, gamma=gamma)
+    monkeypatch.setattr(integrated, "solve_crew_pairing", solve)
+    return res, calls
+
+
+def test_loop_builds_the_networks_once(monkeypatch, overcut):
+    from crewroute.pairing import colgen
+
+    built = []
+    build = colgen.build_pricing_networks
+
+    def counted(*args):
+        built.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(colgen, "build_pricing_networks", counted)
+    for inst in _cut_loop_weeks(overcut):
+        built.clear()
+        res = solve_integrated(inst, gamma=1.0)
+        assert res.iterations >= 2
+        assert len(built) == 1
+
+
+def test_loop_calls_the_pairing_solver_once_per_iteration(monkeypatch,
+                                                          overcut):
+    # per-layer tracing patches crewroute.integrated.solve_crew_pairing, so
+    # every iteration must go through that name
+    for inst in _cut_loop_weeks(overcut):
+        res, calls = _traced_loop(monkeypatch, inst)
+        assert len(calls) == res.iterations >= 2
+        assert [len(c) for c, _ in calls] == list(range(res.iterations))
+        assert res.cg_iter_total == sum(r.iterations for _, r in calls)
+
+
+def test_session_iterations_match_fresh_solves(monkeypatch, overcut):
+    # each resumed solve reaches the status and objective of a fresh solve
+    # under the same cuts, in fewer column-generation rounds after the first
+    weeks = _cut_loop_weeks(overcut)
+    # gamma=0.9 on the 24-leg week runs for minutes (see CHANGES.md)
+    runs = [(w, 1.0) for w in weeks] + [(w, 0.9) for w in weeks[:3]]
+    for inst, gamma in runs:
+        _, calls = _traced_loop(monkeypatch, inst, gamma)
+        resumed_rounds = fresh_rounds = 0
+        for k, (cuts, got) in enumerate(calls):
+            fresh = solve_crew_pairing(inst, cuts=cuts)
+            assert got.status == fresh.status
+            assert got.objective == pytest.approx(fresh.objective, abs=1e-6)
+            assert got.provably_optimal == fresh.provably_optimal
+            if k:
+                resumed_rounds += got.iterations
+                fresh_rounds += fresh.iterations
+        assert resumed_rounds < fresh_rounds
+
+
+def test_session_rejects_a_foreign_cut_sequence(overcut):
+    from crewroute.pairing import PairingSession
+
+    session = PairingSession(overcut)
+    cut = cut_for(frozenset({(0, 2), (3, 1)}), 1.0)
+    other = cut_for(frozenset({(0, 2)}), 1.0)
+    first = solve_crew_pairing(overcut, cuts=(cut,), session=session)
+    assert first.status == "infeasible"
+    assert session.cuts == (cut,)
+    with pytest.raises(ValueError, match="cut sequence"):
+        solve_crew_pairing(overcut, cuts=(other,), session=session)
+    with pytest.raises(ValueError, match="another instance"):
+        solve_crew_pairing(_overcut(2), cuts=(cut,), session=session)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 
@@ -11,13 +12,16 @@ import pytest
 from crewroute.generate import generate_instance
 from crewroute.milp import (
     TOL_PIVOT,
+    Basis,
     LinearProgram,
+    LpSolution,
     LpStatus,
     MipStatus,
     solve_lp,
     solve_mip,
 )
-from crewroute.milp.model import RELATIONS
+from crewroute.milp import branch_bound, simplex
+from crewroute.milp.model import ARTIFICIAL, RELATIONS, SLACK, STRUCTURAL
 from crewroute.milp.simplex import _TIE_SLACK, _Tableau, ratio_test
 from crewroute.oracles import brute_force_binary, tableau_solve_lp
 from crewroute.pairing.master import CutRow, MasterProblem
@@ -520,3 +524,308 @@ def test_ratio_test_is_bit_exact():
         want = _ratio_test_reference(xb, w, ub, basis, tol)
         got = ratio_test(xb.copy(), w.copy(), ub.copy(), basis, tol)
         assert repr(got) == repr(want)
+
+
+# ---------------------------------------------------------------------------
+# warm starts
+
+
+def _with_bounds(lp: LinearProgram, fixes: dict) -> LinearProgram:
+    """A copy of ``lp`` whose variable boxes carry ``fixes``."""
+    out = copy.deepcopy(lp)
+    for j, (lo, hi) in fixes.items():
+        out.lower[j], out.upper[j] = lo, hi
+    return out
+
+
+def _assert_certified_optimal(lp: LinearProgram, sol, tol: float = 1e-6):
+    """Primal feasibility, dual signs and complementary slackness."""
+    act = lp.dense_matrix() @ sol.x
+    for i, rel in enumerate(lp.relations):
+        gap = act[i] - lp.rhs[i]
+        if rel == "<=":
+            assert gap <= tol and sol.duals[i] <= tol
+        elif rel == ">=":
+            assert gap >= -tol and sol.duals[i] >= -tol
+        else:
+            assert abs(gap) <= tol
+        assert abs(sol.duals[i]) * abs(gap) <= tol
+    for j in range(lp.n_vars):
+        lo, hi = lp.lower[j], lp.upper[j]
+        assert lo - tol <= sol.x[j] <= hi + tol
+        rc = sol.reduced_costs[j]
+        if sol.x[j] > lo + tol:
+            assert rc <= tol  # a variable above its lower bound cannot price up
+        if sol.x[j] < hi - tol:
+            assert rc >= -tol
+    assert sol.objective == pytest.approx(lp.objective_value(sol.x), abs=tol)
+
+
+def _assert_warm_matches(lp: LinearProgram, start: Basis, fixes=None) -> LpSolution:
+    """The warm solve agrees with a cold solve and the tableau oracle."""
+    warm = solve_lp(lp, bound_overrides=fixes, start=start)
+    cold = solve_lp(lp, bound_overrides=fixes)
+    bounded = _with_bounds(lp, fixes or {})
+    want_status, _, want_obj, _ = tableau_solve_lp(bounded)
+    assert warm.status == cold.status
+    assert warm.status.value == want_status
+    if warm.status is LpStatus.OPTIMAL:
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
+        assert warm.objective == pytest.approx(want_obj, abs=1e-6)
+        _assert_certified_optimal(bounded, warm)
+        assert warm.basis is not None
+    return warm
+
+
+def test_cold_solve_returns_a_basis_that_resumes_in_zero_pivots():
+    rng = random.Random(8)
+    resumed = 0
+    for _ in range(40):
+        lp = _random_lp(rng, rng.randrange(3, 8), rng.randrange(2, 7),
+                        with_upper=True)
+        cold = solve_lp(lp)
+        if cold.status is not LpStatus.OPTIMAL:
+            assert cold.basis is None
+            continue
+        assert len(cold.basis.basic) == lp.n_rows
+        again = solve_lp(lp, start=cold.basis)
+        assert again.iterations == 0
+        assert again.objective == pytest.approx(cold.objective, abs=1e-9)
+        assert again.basis == cold.basis
+        resumed += 1
+    assert resumed >= 15
+
+
+def test_warm_start_after_appending_a_column():
+    rng = random.Random(19)
+    checked = 0
+    for _ in range(60):
+        n, m = rng.randrange(3, 8), rng.randrange(2, 7)
+        lp = _random_lp(rng, n, m, with_upper=False)
+        cold = solve_lp(lp)
+        if cold.status is not LpStatus.OPTIMAL:
+            continue
+        lp.add_variable(obj=rng.uniform(-3.0, 2.0),
+                        column={i: rng.uniform(-2.0, 4.0) for i in range(m)
+                                if rng.random() < 0.7})
+        warm = _assert_warm_matches(lp, cold.basis)
+        if warm.status is LpStatus.OPTIMAL:
+            # duals agree with the oracle's where no bound rows exist
+            _, _, _, want_duals = tableau_solve_lp(lp)
+            assert warm.objective == pytest.approx(
+                float(np.dot(want_duals, lp.rhs)), abs=1e-6)
+        checked += 1
+    assert checked >= 20
+
+
+def test_warm_start_after_appending_a_cutting_row():
+    # the cut removes the old optimum, so the start is primal infeasible and
+    # the dual phase runs; deep cuts leave nothing, and the dual phase must
+    # prove that itself rather than hand over to the cold solve
+    rng = random.Random(29)
+    outcomes = {"optimal": 0, "infeasible": 0}
+    for trial in range(80):
+        n, m = rng.randrange(3, 8), rng.randrange(2, 7)
+        lp = _random_lp(rng, n, m, with_upper=trial % 2 == 0)
+        cold = solve_lp(lp)
+        if cold.status is not LpStatus.OPTIMAL:
+            continue
+        coefs = {j: rng.uniform(-1.0, 3.0) for j in range(n)}
+        act = sum(v * cold.x[j] for j, v in coefs.items())
+        row = lp.add_row(coefs, "<=", act - rng.uniform(0.1, 4.0))
+        start = cold.basis.with_slack(row)
+        warm = _assert_warm_matches(lp, start)
+        sol, _ = simplex._solve_warm(lp, None, 10_000, start)
+        assert sol is not None and sol.status == warm.status
+        outcomes[warm.status.value] += 1
+    assert outcomes["optimal"] >= 10 and outcomes["infeasible"] >= 5
+
+
+def test_warm_start_after_fixing_a_basic_binary(monkeypatch):
+    # phase-2 pivot counts of the solves _solve_warm makes
+    phase2 = []
+    iterate = simplex._iterate
+
+    def counted(t, max_pivots):
+        state, pivots = iterate(t, max_pivots)
+        phase2.append(pivots)
+        return state, pivots
+
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(60):
+        n, m = rng.randrange(4, 9), rng.randrange(2, 6)
+        lp = LinearProgram()
+        for _ in range(n):
+            lp.add_variable(obj=rng.uniform(-4.0, 2.0), binary=True)
+        for _ in range(m):
+            coefs = {j: rng.uniform(-1.0, 3.0)
+                     for j in rng.sample(range(n), rng.randrange(2, n + 1))}
+            lp.add_row(coefs, rng.choice(RELATIONS), rng.uniform(0.5, 4.0))
+        cold = solve_lp(lp)
+        if cold.status is not LpStatus.OPTIMAL:
+            continue
+        basic = [j for kind, j in cold.basis.basic if kind == STRUCTURAL]
+        for j in basic:
+            for v in (0.0, 1.0):
+                fix = {j: (v, v)}
+                warm = _assert_warm_matches(lp, cold.basis, fix)
+                # the dual phase reaches the answer without the cold solve,
+                # and keeps the optimal start dual feasible: phase 2 has
+                # nothing left to do
+                monkeypatch.setattr(simplex, "_iterate", counted)
+                phase2.clear()
+                sol, _ = simplex._solve_warm(lp, fix, 10_000, cold.basis)
+                monkeypatch.setattr(simplex, "_iterate", iterate)
+                assert sol is not None and sol.status == warm.status
+                if sol.status is LpStatus.OPTIMAL:
+                    assert phase2 == [0]
+                seen.add(warm.status)
+    assert seen == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
+
+
+@pytest.mark.parametrize("y_upper,proves", [(1.0, True), (2.5, False),
+                                            (math.inf, False)])
+def test_farkas_row_needs_the_boxes_to_exclude_the_basic(y_upper, proves):
+    # x + y = 3 with x basic in [0, 1] reads x = 3 - y: it proves
+    # infeasibility only when y's box cannot bring x down to 1
+    lp = LinearProgram()
+    x = lp.add_variable(obj=1.0, hi=1.0)
+    y = lp.add_variable(obj=1.0, hi=y_upper)
+    lp.add_row({x: 1.0, y: 1.0}, "=", 3.0)
+    t = _Tableau(lp)
+    assert simplex._install(t, Basis(((STRUCTURAL, x),)))
+    assert t.xb[0] == pytest.approx(3.0)
+    alpha = t.row_times(t.binv[0], t.cost.shape[0])
+    assert simplex._farkas_row(t, 0, alpha, simplex.TOL_FEAS) is proves
+    want = LpStatus.INFEASIBLE if proves else LpStatus.OPTIMAL
+    assert solve_lp(lp, start=Basis(((STRUCTURAL, x),))).status is want
+
+
+def test_warm_start_with_every_relation_matches_highs():
+    # sparse LPs with '=', '<=', '>=' rows and negative right-hand sides:
+    # resolve under one more bound fix and under the parent's fixes dropped
+    rng = random.Random(43)
+    seen = set()
+    for _ in range(120):
+        lp, fixes = _random_sparse_lp(rng)
+        parent = solve_lp(lp, bound_overrides=fixes)
+        if parent.status is not LpStatus.OPTIMAL:
+            continue
+        child = dict(fixes)
+        j = rng.randrange(lp.n_vars)
+        v = 1.0 - round(parent.x[j]) if lp.binary[j] else parent.x[j] + 0.5
+        child[j] = (v, v)
+        for overrides in (child, None):
+            got = solve_lp(lp, bound_overrides=overrides, start=parent.basis)
+            want_status, want_obj = _highs_lp(lp, overrides)
+            assert got.status.value == want_status
+            if want_status == "optimal":
+                assert got.objective == pytest.approx(want_obj, abs=1e-7)
+            seen.add(want_status)
+    assert {"optimal", "infeasible"} <= seen
+
+
+def test_unusable_starts_fall_back_to_the_cold_solve():
+    rng = random.Random(53)
+    lp = _random_lp(rng, 6, 4, with_upper=True)
+    cold = solve_lp(lp)
+    assert cold.status is LpStatus.OPTIMAL
+    names = cold.basis.basic
+    eq = LinearProgram()
+    x = eq.add_variable(obj=1.0)
+    y = eq.add_variable(obj=2.0)
+    eq.add_row({x: 1.0, y: 1.0}, "=", 2.0)
+    eq.add_row({x: 2.0, y: 2.0}, "<=", 5.0)
+    bad = {
+        "short": Basis(names[:-1]),
+        "long": Basis(names + (names[0],)),
+        "duplicate": Basis((names[0],) * len(names)),
+        "unknown variable": Basis(((STRUCTURAL, 99),) + names[1:]),
+        "unknown row": Basis(((SLACK, 99),) + names[1:]),
+        "unknown kind": Basis((("nonsense", 0),) + names[1:]),
+        "at_upper out of range": Basis(names, (99, -1)),
+    }
+    for label, start in bad.items():
+        got = solve_lp(lp, start=start)
+        if label == "at_upper out of range":
+            assert got.status is LpStatus.OPTIMAL
+            assert got.objective == pytest.approx(cold.objective, abs=1e-9)
+            continue
+        assert got.iterations == cold.iterations, label
+        assert np.array_equal(got.x, cold.x), label
+    # x and y have parallel columns, so {x, y} is singular, and the '=' row
+    # has no slack to name; the all-artificial basis is a valid start
+    want = solve_lp(eq)
+    assert want.status is LpStatus.OPTIMAL
+    for start in (Basis(((STRUCTURAL, x), (STRUCTURAL, y))),
+                  Basis(((SLACK, 0), (SLACK, 1))),
+                  Basis(((ARTIFICIAL, 0), (ARTIFICIAL, 1)))):
+        got = solve_lp(eq, start=start)
+        assert got.status is LpStatus.OPTIMAL
+        assert got.objective == pytest.approx(want.objective, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# branch and bound from parent bases
+
+
+def _conflicting_binary_model(rng: random.Random) -> LinearProgram:
+    """Binaries tied by equalities and tight pairs, so fixing one binary
+    often leaves its child LP infeasible."""
+    n = rng.randrange(5, 12)
+    lp = LinearProgram()
+    xs = [lp.add_variable(obj=rng.uniform(-5.0, 5.0), binary=True)
+          for _ in range(n)]
+    for _ in range(rng.randrange(2, 5)):
+        group = rng.sample(xs, rng.randrange(2, n))
+        lp.add_row({x: 1.0 for x in group}, "=", float(rng.randrange(1, 3)))
+    for _ in range(rng.randrange(1, 4)):
+        a, b = rng.sample(xs, 2)
+        lp.add_row({a: 2.0, b: 2.0}, rng.choice(["<=", ">="]), 1.0 + rng.random())
+    return lp
+
+
+def test_branch_and_bound_children_match_enumeration(monkeypatch):
+    calls = []
+
+    def counted(lp, bound_overrides=None, max_pivots=None, start=None):
+        sol = simplex.solve_lp(lp, bound_overrides, max_pivots, start)
+        calls.append((start is not None, sol.status))
+        return sol
+
+    monkeypatch.setattr(branch_bound, "solve_lp", counted)
+    rng = random.Random(61)
+    statuses = set()
+    for _ in range(120):
+        lp = _conflicting_binary_model(rng) if rng.random() < 0.6 \
+            else _random_binary_model(rng)
+        res = solve_mip(lp)
+        want_status, _, want_obj = brute_force_binary(lp)
+        assert res.status.value == want_status
+        statuses.add(want_status)
+        if want_status == "optimal":
+            assert res.objective == pytest.approx(want_obj, abs=1e-6)
+            assert res.x == pytest.approx(np.round(res.x), abs=1e-6)
+    assert statuses == {"optimal", "infeasible"}
+    warm_infeasible = sum(1 for warm, st in calls
+                          if warm and st is LpStatus.INFEASIBLE)
+    assert warm_infeasible >= 20
+    assert sum(1 for warm, _ in calls if not warm) == 120  # the roots
+
+
+def test_branch_and_bound_ignores_a_garbage_start():
+    rng = random.Random(67)
+    garbage = (
+        Basis(((STRUCTURAL, 0),)),
+        Basis(((SLACK, 0),) * 40, (3, 3, 500)),
+        Basis(tuple((STRUCTURAL, j) for j in range(200))),
+    )
+    for _ in range(30):
+        lp = _conflicting_binary_model(rng)
+        want = solve_mip(lp)
+        for start in garbage:
+            got = solve_mip(lp, start=start)
+            assert got.status == want.status
+            if want.status is MipStatus.OPTIMAL:
+                assert got.objective == pytest.approx(want.objective, abs=1e-9)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from conftest import airport, leg, make_instance, minutes
@@ -306,6 +307,24 @@ def test_master_cut_coefficients(toy2):
     assert m.lp.rhs[m.cut_rows[1]] == 0.9
 
 
+def test_master_add_cut_gives_pooled_columns_their_coefficient(toy2):
+    cut = CutRow(frozenset({(0, 1), (2, 3)}), 1.0)
+    cols = (_col((0, 1), 300.0, shorts=((0, 1), (2, 3))),
+            _col((1,), 200.0, shorts=((2, 3),)), _col((0,), 150.0))
+    late = MasterProblem(toy2)
+    for col in cols:
+        late.add_column(col)
+    row = late.add_cut(cut)
+    assert row == late.cut_rows[0] == 4
+    assert late.cuts == (cut,)
+    early = MasterProblem(toy2, (cut,))
+    for col in cols:
+        early.add_column(col)
+    assert np.array_equal(late.lp.dense_matrix(), early.lp.dense_matrix())
+    assert late.lp.rhs == early.lp.rhs
+    assert late.lp.relations == early.lp.relations
+
+
 def test_master_duals_and_reduced_cost(toy2):
     m = MasterProblem(toy2, (CutRow(frozenset({(0, 1)}), 1.0),))
     col = _col((0, 1), 300.0, shorts=((0, 1),))
@@ -422,3 +441,27 @@ def test_colgen_report_shape(toy2):
     assert d["pairings"][0]["legs"] == [0, 1]
     assert "cg_iterations" in d["stats"]
     assert "runtime_ms" not in d["stats"]
+
+
+def test_completion_skipped_when_first_mip_closes_the_gap(monkeypatch):
+    # the first MIP is artificial-free and meets the LP bound, so it is the
+    # proven optimum: no column is enumerated and no second MIP runs
+    from crewroute.generate import generate_instance
+    from crewroute.pairing import colgen
+
+    mips = []
+
+    def counted(*args, **kwargs):
+        mips.append(1)
+        return colgen_solve_mip(*args, **kwargs)
+
+    colgen_solve_mip = colgen.solve_mip
+    monkeypatch.setattr(colgen, "solve_mip", counted)
+    res = solve_crew_pairing(generate_instance(6, 2, 60, 6, 9))
+    assert res.status == "optimal"
+    assert res.provably_optimal
+    assert res.objective == pytest.approx(7685.0)
+    assert res.stats["columns_completion"] == 0
+    assert res.c_ub_initial == res.objective
+    assert res.c_ub_initial <= res.c_lb + colgen.COMPLETION_PAD
+    assert len(mips) == 1
