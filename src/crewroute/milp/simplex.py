@@ -1,24 +1,27 @@
-"""Two-phase bounded revised simplex with explicit basis inverse.
+"""Bounded revised simplex with explicit basis inverse.
 
-Phase 1 minimizes artificial infeasibility (slacks seed the basis where
-their column survives row flipping), phase 2 the true objective. Dantzig
-pricing switches to Bland's rule permanently after a streak of degenerate
-pivots, which guarantees termination; a generous pivot cap backstops
-numerical trouble as a distinct NUMERIC_FAILURE status rather than a wrong
-answer. The basis inverse is maintained by eta updates and refactorized
-periodically.
+Every solve starts from a basis with the artificials fixed at zero, which is
+installed and refactorized. Without a ``start`` (``solve_lp(start=...)``),
+that is a crash basis: a lower-triangular set of structural columns on the
+'=' rows, slacks on the inequality rows (``_crash``). A start that is primal
+feasible, as after appending columns, goes straight to phase 2, which
+minimizes the true objective. Otherwise, as from a crash basis or after
+appending a row or fixing a variable, a bounded dual simplex first restores
+primal feasibility, and infeasibility is reported only from a row of
+``B^-1 A`` whose range over the nonbasic boxes misses its basic variable's
+box, which is a Farkas proof.
 
-A solve may resume from a ``Basis`` instead (``solve_lp(start=...)``): the
-basis is installed with the artificials fixed at zero and refactorized. A
-start that is primal feasible, as after appending columns, goes straight to
-phase 2. Otherwise, as after appending a row or fixing a variable, a
-bounded dual simplex first restores primal feasibility, and infeasibility
-is reported only from a row of ``B^-1 A`` whose range over the nonbasic
-boxes misses its basic variable's box, which is a Farkas proof. A start
-that names unknown or repeated variables, is singular, or whose dual phase
-hits its pivot cap or a row that proves nothing falls back to the cold
-two-phase solve. Without a start the solve is the cold one, pivot for
-pivot.
+A start that names unknown or repeated variables, is singular, or whose dual
+phase hits its pivot cap or a row that proves nothing falls back to the
+crash start. A crash start that fails in the same way falls back to the
+two-phase solve: phase 1 minimizes artificial infeasibility from the
+slack-and-artificial basis, then phase 2 runs.
+
+Dantzig pricing switches to Bland's rule permanently after a streak of
+degenerate pivots, which guarantees termination; a generous pivot cap
+backstops numerical trouble as a distinct NUMERIC_FAILURE status rather
+than a wrong answer. The basis inverse is maintained by eta updates and
+refactorized periodically.
 
 The standard-form matrix is stored by columns (CSC: ``ptr``, ``rows``,
 ``vals``) and only its nonzeros are ever read, so work and memory grow with
@@ -46,8 +49,10 @@ TOL_FEAS = 1e-7
 TOL_PIVOT = 1e-9
 DEGENERATE_STREAK = 40
 REFACTOR_EVERY = 64
-# A warm start's dual phase gives up, and the solve restarts cold, after
-# this many pivots per row (plus the minimum).
+# A resumed solve's dual phase gives up, and the solve restarts from the
+# crash basis, after this many pivots per row (plus the minimum). The crash
+# start's own dual phase stands in for phase 1 and runs under the solve's
+# full pivot cap.
 DUAL_PIVOTS_PER_ROW = 2
 DUAL_PIVOTS_MIN = 50
 
@@ -141,10 +146,11 @@ class _Tableau:
         self.basis = self.art_start + np.arange(m, dtype=np.int64)
         seeded = slack_vals == 1.0
         self.basis[slack_rows[seeded]] = n + np.flatnonzero(seeded)
-        art_rows = np.flatnonzero(self.basis >= self.art_start)
-        if extra_art:
-            # artificials a warm start names on rows a slack seeds
-            art_rows = np.union1d(art_rows, np.asarray(extra_art, np.int64))
+        # A row mask rather than np.union1d, which imports numpy.ma.
+        has_art = self.basis >= self.art_start
+        # artificials a start names on rows a slack seeds
+        has_art[np.asarray(extra_art, np.int64)] = True
+        art_rows = np.flatnonzero(has_art)
         self.slack_rows = slack_rows
 
         self.rows = np.concatenate([row_of, slack_rows, art_rows])
@@ -478,22 +484,59 @@ def _phase2(lp: LinearProgram, t: _Tableau, max_pivots: int, pivots: int) -> LpS
                       _basis_of(t))
 
 
+def _crash(lp: LinearProgram) -> Basis:
+    """A lower-triangular starting basis of structural columns.
+
+    The columns are walked sparsest first, ties to the lower index. A
+    column is taken only if it has no nonzero in a row already pivoted, and
+    it pivots on its largest entry among the uncovered '=' rows, ties to the
+    lower row. In the order they were taken, no column has a nonzero in an
+    earlier column's pivot row, so the basis is lower-triangular with a
+    nonzero diagonal and never singular. Inequality rows keep their slack
+    and uncovered '=' rows their artificial (Bixby, "Implementing the
+    simplex method: the initial basis", ORSA J. Computing 1992).
+    """
+    names = [(ARTIFICIAL if rel == "=" else SLACK, i)
+             for i, rel in enumerate(lp.relations)]
+    open_eq = [rel == "=" for rel in lp.relations]
+    pivoted = [False] * lp.n_rows
+    for j in sorted(range(lp.n_vars), key=lambda j: (len(lp.columns[j][0]), j)):
+        rows, vals = lp.columns[j]
+        if any(pivoted[i] for i in rows):
+            continue
+        best, r = 0.0, -1
+        for i, v in zip(rows, vals):  # rows increase, so ties keep the lowest
+            if open_eq[i] and abs(v) > best:
+                best, r = abs(v), i
+        if r >= 0:
+            pivoted[r] = True
+            open_eq[r] = False
+            names[r] = (STRUCTURAL, j)
+    return Basis(tuple(names))
+
+
 def _solve_warm(
     lp: LinearProgram,
     bound_overrides: dict[int, tuple[float, float]] | None,
     max_pivots: int,
     start: Basis,
+    dual_cap: int | None = None,
 ) -> tuple[LpSolution | None, int]:
     """Solve from ``start``: (solution, pivots), or (None, pivots spent)
-    when the start is malformed or singular or the warm solve gives up."""
+    when the start is malformed or singular or the warm solve gives up.
+
+    The dual phase stops at ``dual_cap`` pivots, by default the cap of a
+    resumed solve (``DUAL_PIVOTS_PER_ROW`` per row plus ``DUAL_PIVOTS_MIN``).
+    """
     m = lp.n_rows
     extra = sorted({i for kind, i in start.basic
                     if kind == ARTIFICIAL and 0 <= i < m})
     t = _Tableau(lp, bound_overrides, extra)
     if not _install(t, start):
         return None, 0
-    cap = min(max_pivots, DUAL_PIVOTS_PER_ROW * m + DUAL_PIVOTS_MIN)
-    state, pivots = _dual_iterate(t, cap)
+    if dual_cap is None:
+        dual_cap = DUAL_PIVOTS_PER_ROW * m + DUAL_PIVOTS_MIN
+    state, pivots = _dual_iterate(t, min(max_pivots, dual_cap))
     if state == "infeasible":
         sol = LpSolution(LpStatus.INFEASIBLE, None, math.inf, None, None, pivots)
         return sol, pivots
@@ -505,26 +548,14 @@ def _solve_warm(
     return sol, sol.iterations
 
 
-def solve_lp(
+def _solve_two_phase(
     lp: LinearProgram,
-    bound_overrides: dict[int, tuple[float, float]] | None = None,
-    max_pivots: int | None = None,
-    start: Basis | None = None,
+    bound_overrides: dict[int, tuple[float, float]] | None,
+    max_pivots: int,
+    spent: int,
 ) -> LpSolution:
-    """Minimize the LP relaxation; binaries are treated as their boxes.
-
-    ``start`` is a basis to resume from, typically ``LpSolution.basis`` of
-    the same model before columns, rows or bound fixes were added.
-    """
-    if max_pivots is None:
-        ncols = lp.n_vars + sum(rel != "=" for rel in lp.relations) + lp.n_rows
-        max_pivots = max(5000, 100 * (lp.n_rows + ncols))
-    spent = 0
-    if start is not None:
-        sol, spent = _solve_warm(lp, bound_overrides, max_pivots, start)
-        if sol is not None:
-            return sol
-
+    """Phase 1 over the artificials from the slack-and-artificial basis,
+    then phase 2; ``spent`` pivots are counted in as already made."""
     t = _Tableau(lp, bound_overrides)
     m = t.b.shape[0]
     ncols = t.cost.shape[0]
@@ -546,3 +577,33 @@ def solve_lp(
     else:
         it1 = spent
     return _phase2(lp, t, max_pivots, it1)
+
+
+def solve_lp(
+    lp: LinearProgram,
+    bound_overrides: dict[int, tuple[float, float]] | None = None,
+    max_pivots: int | None = None,
+    start: Basis | None = None,
+) -> LpSolution:
+    """Minimize the LP relaxation; binaries are treated as their boxes.
+
+    ``start`` is a basis to resume from, typically ``LpSolution.basis`` of
+    the same model before columns, rows or bound fixes were added. Without
+    one, or when it is unusable, the solve starts from ``_crash(lp)``.
+    """
+    if max_pivots is None:
+        ncols = lp.n_vars + sum(rel != "=" for rel in lp.relations) + lp.n_rows
+        max_pivots = max(5000, 100 * (lp.n_rows + ncols))
+    spent = 0
+    if start is not None:
+        sol, spent = _solve_warm(lp, bound_overrides, max_pivots, start)
+        if sol is not None:
+            return sol
+    # The crash start's dual phase stands in for phase 1, so it runs under
+    # the full cap rather than a resumed solve's.
+    sol, used = _solve_warm(lp, bound_overrides, max_pivots, _crash(lp),
+                            dual_cap=max_pivots)
+    if sol is not None:
+        sol.iterations += spent
+        return sol
+    return _solve_two_phase(lp, bound_overrides, max_pivots, spent + used)

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import copy
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,6 +355,13 @@ def test_columns_match_dense_layout():
         _check_layout(lp)
 
     # the master's columns arrive with their legs in path order
+    master = _random_master(rng)
+    assert any(list(c.legs) != sorted(c.legs) for c in master.columns)
+    _check_layout(master.lp)
+
+
+def _random_master(rng: random.Random) -> MasterProblem:
+    """A 16-leg master with three cuts and up to 30 random pairing columns."""
     inst = generate_instance(n_airports=4, n_bases=2, n_legs=16,
                              n_aircraft=3, seed=5)
     master_legs = sorted(l.id for l in inst.legs)
@@ -361,12 +372,13 @@ def test_columns_match_dense_layout():
     for k in range(30):
         legs = rng.sample(master.leg_ids, rng.randrange(2, 6))
         duties = (tuple(legs[:1]), tuple(legs[1:]))
-        master.add_column(PairingColumn(
+        col = PairingColumn(
             legs=tuple(legs), cost=100.0 + k, nights=rng.randrange(0, 4),
             duties=duties, n_long_duties=rng.randrange(0, 3),
-            shorts=tuple(rng.sample(conns, 8))))
-    assert any(list(c.legs) != sorted(c.legs) for c in master.columns)
-    _check_layout(master.lp)
+            shorts=tuple(rng.sample(conns, 8)))
+        if not master.has_column(col):
+            master.add_column(col)
+    return master
 
 
 def test_binary_bounds_validated():
@@ -764,6 +776,156 @@ def test_unusable_starts_fall_back_to_the_cold_solve():
         got = solve_lp(eq, start=start)
         assert got.status is LpStatus.OPTIMAL
         assert got.objective == pytest.approx(want.objective, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# crash starts
+
+
+def _assert_triangular_crash(lp: LinearProgram) -> None:
+    """``_crash`` names one variable per row, its structural part permutes
+    to lower-triangular, and ``_install`` accepts it."""
+    basis = simplex._crash(lp)
+    assert len(basis.basic) == lp.n_rows
+    assert len(set(basis.basic)) == lp.n_rows
+    logical = set()
+    for kind, i in basis.basic:
+        if kind == SLACK:
+            assert lp.relations[i] != "="
+        elif kind == ARTIFICIAL:
+            assert lp.relations[i] == "="
+        if kind != STRUCTURAL:
+            logical.add(i)
+    # The structurals cover the rows no slack or artificial names. Peeling
+    # a row with one nonzero among the columns left, and that column, until
+    # nothing is left finds a lower-triangular order.
+    rows = {i for i in range(lp.n_rows) if i not in logical}
+    cols = {j for kind, j in basis.basic if kind == STRUCTURAL}
+    assert len(rows) == len(cols)
+    a = lp.dense_matrix()
+    while rows:
+        left = sorted(cols)
+        singleton = next((i for i in sorted(rows)
+                          if np.count_nonzero(a[i, left]) == 1), None)
+        assert singleton is not None, "structural part is not triangular"
+        (k,) = np.flatnonzero(a[singleton, left])
+        rows.remove(singleton)
+        cols.remove(left[k])
+    assert simplex._install(_Tableau(lp), basis)
+
+
+def test_crash_basis_is_triangular_and_installs():
+    from crewroute.routing import build_ar_model, build_routing_graph
+
+    rng = random.Random(71)
+    models = [_random_lp(rng, rng.randrange(3, 8), rng.randrange(2, 8),
+                         with_upper=rng.random() < 0.5) for _ in range(40)]
+    models += [_random_sparse_lp(rng)[0] for _ in range(60)]
+    models += [_random_binary_model(rng) for _ in range(30)]
+    models += [_conflicting_binary_model(rng) for _ in range(30)]
+    for n_legs, n_aircraft in ((40, 4), (60, 6)):
+        inst = generate_instance(6, 2, n_legs, n_aircraft, 7)
+        graph = build_routing_graph(inst)
+        forced = sorted(graph.conn_keys)[:3]
+        models.append(build_ar_model(graph, inst.rules.n_a, forced)[0])
+        models.append(build_ar_model(graph, None, [])[0])
+    models.append(_random_master(rng).lp)
+    structural = 0
+    for lp in models:
+        _assert_triangular_crash(lp)
+        structural += sum(kind == STRUCTURAL
+                          for kind, _ in simplex._crash(lp).basic)
+    assert structural > 0
+
+
+def test_crash_is_stuck_and_falls_back_to_the_two_phase_solve(monkeypatch):
+    rng = random.Random(73)
+    stuck = []
+
+    def give_up(t, max_pivots):
+        stuck.append(max_pivots)
+        return "stuck", 0
+
+    solved = 0
+    for trial in range(60):
+        if trial % 2:
+            lp, overrides = _random_sparse_lp(rng)
+        else:
+            lp = _random_lp(rng, rng.randrange(3, 8), rng.randrange(2, 8),
+                            with_upper=trial % 4 == 0)
+            overrides = None
+        max_pivots = 10_000
+        two_phase = simplex._solve_two_phase(lp, overrides, max_pivots, 0)
+        monkeypatch.setattr(simplex, "_dual_iterate", give_up)
+        got = solve_lp(lp, bound_overrides=overrides, max_pivots=max_pivots)
+        monkeypatch.undo()
+        # the crash start's dual phase runs under the full pivot cap
+        assert stuck == [max_pivots]
+        stuck.clear()
+        assert got.status == two_phase.status
+        assert got.iterations == two_phase.iterations
+        want_status, _, want_obj, _ = tableau_solve_lp(
+            _with_bounds(lp, overrides or {}))
+        assert got.status.value == want_status
+        if got.status is LpStatus.OPTIMAL:
+            assert np.array_equal(got.x, two_phase.x)
+            assert got.objective == pytest.approx(want_obj, abs=1e-6)
+            solved += 1
+    assert solved >= 10
+
+
+@pytest.mark.parametrize("n_legs,n_aircraft", [(40, 4), (60, 6), (80, 7)])
+def test_routing_solves_never_fall_back_to_the_two_phase_solve(
+        monkeypatch, n_legs, n_aircraft):
+    # every cold routing LP goes through the crash start, and every node LP
+    # through its parent's basis, without giving up on either
+    from crewroute.routing import minimize_aircraft, solve_routing
+
+    outcomes = []
+    solve_warm = simplex._solve_warm
+
+    def counted(*args, **kwargs):
+        sol, pivots = solve_warm(*args, **kwargs)
+        outcomes.append(sol is not None)
+        return sol, pivots
+
+    monkeypatch.setattr(simplex, "_solve_warm", counted)
+    inst = generate_instance(6, 2, n_legs, n_aircraft, 7)
+    for result in (solve_routing(inst), minimize_aircraft(inst)):
+        assert result.status == "optimal"
+    assert outcomes and all(outcomes)
+
+
+_NUMPY_MA_PROBE = """
+import sys
+from crewroute.milp import Basis, LinearProgram, solve_lp
+from crewroute.milp.model import ARTIFICIAL
+from crewroute.milp.simplex import _crash
+
+lp = LinearProgram()
+x = lp.add_variable(obj=1.0)
+y = lp.add_variable(obj=2.0)
+lp.add_row({x: 1.0, y: 1.0}, "=", 2.0)
+lp.add_row({x: 2.0, y: 2.0}, "=", 4.0)
+lp.add_row({x: 1.0}, "<=", 5.0)
+assert any(kind == ARTIFICIAL for kind, _ in _crash(lp).basic)
+assert solve_lp(lp).status.value == "optimal"
+start = Basis(((ARTIFICIAL, 0), (ARTIFICIAL, 1), (ARTIFICIAL, 2)))
+assert solve_lp(lp, start=start).status.value == "optimal"
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_cold_and_warm_solves_never_import_numpy_ma():
+    # numpy.ma costs about 1.3 MB of peak memory; the probe's crash start
+    # names the artificial of an uncovered '=' row, and its warm start names
+    # one on the '<=' row a slack seeds
+    src = Path(simplex.__file__).resolve().parents[2]
+    run = subprocess.run([sys.executable, "-c", _NUMPY_MA_PROBE],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False"]
 
 
 # ---------------------------------------------------------------------------
