@@ -217,7 +217,13 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "route" and args.minimize and (
+            args.force or args.budget is not None):
+        # minimize_aircraft takes no forced connections and no budget
+        parser.error("route: argument --minimize: not allowed with "
+                     "--force or --budget")
     handlers = {
         "generate": _cmd_generate,
         "route": _cmd_route,

@@ -8,7 +8,7 @@ same information into a best bound plus gap instead of a wrong answer.
 
 Every node carries its parent's optimal basis: a child differs from its
 parent by one fixed binary, so its LP resumes from that basis with a few
-dual simplex pivots instead of a cold two-phase solve.
+dual simplex pivots instead of a cold crash-started solve.
 """
 
 from __future__ import annotations

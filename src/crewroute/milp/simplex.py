@@ -13,9 +13,8 @@ box, which is a Farkas proof.
 
 A start that names unknown or repeated variables, is singular, or whose dual
 phase hits its pivot cap or a row that proves nothing falls back to the
-crash start. A crash start that fails in the same way falls back to the
-two-phase solve: phase 1 minimizes artificial infeasibility from the
-slack-and-artificial basis, then phase 2 runs.
+crash start. A crash start that fails in the same way gives up with
+NUMERIC_FAILURE, never a wrong OPTIMAL or INFEASIBLE.
 
 Dantzig pricing switches to Bland's rule permanently after a streak of
 degenerate pivots, which guarantees termination; a generous pivot cap
@@ -51,8 +50,8 @@ DEGENERATE_STREAK = 40
 REFACTOR_EVERY = 64
 # A resumed solve's dual phase gives up, and the solve restarts from the
 # crash basis, after this many pivots per row (plus the minimum). The crash
-# start's own dual phase stands in for phase 1 and runs under the solve's
-# full pivot cap.
+# start's own dual phase is how a cold solve reaches feasibility, so it runs
+# under the solve's full pivot cap.
 DUAL_PIVOTS_PER_ROW = 2
 DUAL_PIVOTS_MIN = 50
 
@@ -104,9 +103,11 @@ def ratio_test(
 
 
 class _Tableau:
-    """Standard-form working copy: equality rows, variables in [0, ub]."""
+    """Standard-form working copy: equality rows, variables in [0, ub], and
+    one artificial per row with ``ub = 0``, which a basis may name but no
+    pivot can enter. ``_install`` gives it its basis."""
 
-    def __init__(self, lp: LinearProgram, overrides=None, extra_art=()):
+    def __init__(self, lp: LinearProgram, overrides=None):
         n = lp.n_vars
         m = lp.n_rows
         lo = np.array(lp.lower)
@@ -127,51 +128,31 @@ class _Tableau:
         )
         # The nonzeros run column by column, so each row's shift sums its
         # terms in increasing column order.
-        b = np.array(lp.rhs) - np.bincount(row_of, val * lo[col_of], m)
-        self.flip = np.where(b < 0, -1.0, 1.0)
-        b *= self.flip
-        val *= self.flip[row_of]
+        self.b = np.array(lp.rhs) - np.bincount(row_of, val * lo[col_of], m)
 
         slack_rows = np.array(
             [i for i, rel in enumerate(lp.relations) if rel != "="], dtype=np.int64
         )
         slack_vals = np.array(
             [1.0 if lp.relations[i] == "<=" else -1.0 for i in slack_rows]
-        ) * self.flip[slack_rows]
+        )
         n_slack = slack_rows.shape[0]
         self.art_start = n + n_slack
         ncols = self.art_start + m
-        # A slack seeds the basis where flipping left it at +1; every other
-        # row gets an artificial, so the starting basis is the identity.
-        self.basis = self.art_start + np.arange(m, dtype=np.int64)
-        seeded = slack_vals == 1.0
-        self.basis[slack_rows[seeded]] = n + np.flatnonzero(seeded)
-        # A row mask rather than np.union1d, which imports numpy.ma.
-        has_art = self.basis >= self.art_start
-        # artificials a start names on rows a slack seeds
-        has_art[np.asarray(extra_art, np.int64)] = True
-        art_rows = np.flatnonzero(has_art)
         self.slack_rows = slack_rows
 
-        self.rows = np.concatenate([row_of, slack_rows, art_rows])
-        self.vals = np.concatenate([val, slack_vals, np.ones(art_rows.shape[0])])
+        self.rows = np.concatenate([row_of, slack_rows, np.arange(m)])
+        self.vals = np.concatenate([val, slack_vals, np.ones(m)])
         self.cols = np.concatenate(
-            [col_of, n + np.arange(n_slack), self.art_start + art_rows]
+            [col_of, n + np.arange(n_slack), self.art_start + np.arange(m)]
         )
         self.ptr = np.zeros(ncols + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.cols, minlength=ncols), out=self.ptr[1:])
 
-        self.ub = np.concatenate(
-            [hi - lo, np.full(n_slack, np.inf), np.full(m, np.inf)]
-        )
-        self.b = b
+        self.ub = np.concatenate([hi - lo, np.full(n_slack, np.inf), np.zeros(m)])
         self.cost = np.concatenate([np.array(lp.obj), np.zeros(ncols - n)])
         self.n_orig = n
         self.lo_shift = lo
-        self.vstat = np.full(ncols, _AT_LOWER, dtype=np.int64)
-        self.vstat[self.basis] = _BASIC
-        self.binv = np.eye(m)
-        self.xb = b.copy()
 
     def ftran(self, j: int) -> np.ndarray:
         """``B^-1 A_j`` from the nonzeros of column ``j``."""
@@ -288,30 +269,6 @@ def _iterate(t: _Tableau, max_pivots: int) -> tuple[str, int]:
             since_refactor = 0
 
 
-def _drive_out_artificials(t: _Tableau) -> None:
-    m = t.b.shape[0]
-    for r in range(m):
-        j = t.basis[r]
-        if j < t.art_start:
-            continue
-        row_vec = t.row_times(t.binv[r, :], t.art_start)
-        candidates = np.nonzero(
-            (np.abs(row_vec) > TOL_PIVOT) & (t.vstat[: t.art_start] != _BASIC)
-        )[0]
-        if candidates.size == 0:
-            # Redundant row: keep the artificial basic, pinned at zero.
-            t.ub[j] = 0.0
-            continue
-        enter = int(candidates[0])
-        w = t.ftran(enter)
-        eta_update(t.binv, w, r)
-        t.vstat[j] = _AT_LOWER
-        t.basis[r] = enter
-        old_stat = t.vstat[enter]
-        t.vstat[enter] = _BASIC
-        t.xb[r] = 0.0 if old_stat == _AT_LOWER else t.ub[enter]
-
-
 def _install(t: _Tableau, start: Basis) -> bool:
     """Make ``start`` the tableau's basis with the artificials fixed at zero;
     False when it names unknown or repeated variables or is singular."""
@@ -332,11 +289,10 @@ def _install(t: _Tableau, start: Basis) -> bool:
     if len(cols) != m or len(set(cols)) != m:
         return False
     t.basis = np.array(cols, dtype=np.int64)
-    t.vstat[:] = _AT_LOWER
+    t.vstat = np.full(t.cost.shape[0], _AT_LOWER, dtype=np.int64)
     upper = [j for j in start.at_upper if 0 <= j < n and math.isfinite(t.ub[j])]
     t.vstat[upper] = _AT_UPPER
     t.vstat[t.basis] = _BASIC
-    t.ub[t.art_start:] = 0.0
     return _refactor(t)
 
 
@@ -477,10 +433,9 @@ def _phase2(lp: LinearProgram, t: _Tableau, max_pivots: int, pivots: int) -> LpS
     x_std[near_up] = ub_orig[near_up]
     x = x_std + t.lo_shift
     y = t.cost[t.basis] @ t.binv
-    duals = y * t.flip
     reduced = np.array(lp.obj) - t.row_times(y, t.n_orig)
     objective = float(np.array(lp.obj) @ x)
-    return LpSolution(LpStatus.OPTIMAL, x, objective, duals, reduced, iterations,
+    return LpSolution(LpStatus.OPTIMAL, x, objective, y, reduced, iterations,
                       _basis_of(t))
 
 
@@ -528,14 +483,11 @@ def _solve_warm(
     The dual phase stops at ``dual_cap`` pivots, by default the cap of a
     resumed solve (``DUAL_PIVOTS_PER_ROW`` per row plus ``DUAL_PIVOTS_MIN``).
     """
-    m = lp.n_rows
-    extra = sorted({i for kind, i in start.basic
-                    if kind == ARTIFICIAL and 0 <= i < m})
-    t = _Tableau(lp, bound_overrides, extra)
+    t = _Tableau(lp, bound_overrides)
     if not _install(t, start):
         return None, 0
     if dual_cap is None:
-        dual_cap = DUAL_PIVOTS_PER_ROW * m + DUAL_PIVOTS_MIN
+        dual_cap = DUAL_PIVOTS_PER_ROW * lp.n_rows + DUAL_PIVOTS_MIN
     state, pivots = _dual_iterate(t, min(max_pivots, dual_cap))
     if state == "infeasible":
         sol = LpSolution(LpStatus.INFEASIBLE, None, math.inf, None, None, pivots)
@@ -548,37 +500,6 @@ def _solve_warm(
     return sol, sol.iterations
 
 
-def _solve_two_phase(
-    lp: LinearProgram,
-    bound_overrides: dict[int, tuple[float, float]] | None,
-    max_pivots: int,
-    spent: int,
-) -> LpSolution:
-    """Phase 1 over the artificials from the slack-and-artificial basis,
-    then phase 2; ``spent`` pivots are counted in as already made."""
-    t = _Tableau(lp, bound_overrides)
-    m = t.b.shape[0]
-    ncols = t.cost.shape[0]
-    if m > 0:
-        real_cost = t.cost
-        t.cost = np.zeros(ncols)
-        t.cost[t.art_start:] = 1.0
-        state, it1 = _iterate(t, max_pivots)
-        it1 += spent
-        if state == "limit":
-            return LpSolution(LpStatus.NUMERIC_FAILURE, None, math.nan, None, None, it1)
-        phase1_obj = float(t.cost[t.basis] @ t.xb)
-        ptol = TOL_FEAS * max(1.0, float(np.abs(t.b).max(initial=0.0)))
-        if phase1_obj > ptol:
-            return LpSolution(LpStatus.INFEASIBLE, None, math.inf, None, None, it1)
-        _drive_out_artificials(t)
-        t.ub[t.art_start:] = 0.0
-        t.cost = real_cost
-    else:
-        it1 = spent
-    return _phase2(lp, t, max_pivots, it1)
-
-
 def solve_lp(
     lp: LinearProgram,
     bound_overrides: dict[int, tuple[float, float]] | None = None,
@@ -589,7 +510,9 @@ def solve_lp(
 
     ``start`` is a basis to resume from, typically ``LpSolution.basis`` of
     the same model before columns, rows or bound fixes were added. Without
-    one, or when it is unusable, the solve starts from ``_crash(lp)``.
+    one, or when it is unusable, the solve starts from ``_crash(lp)``; when
+    that start gives up too, the result is NUMERIC_FAILURE with every pivot
+    spent counted.
     """
     if max_pivots is None:
         ncols = lp.n_vars + sum(rel != "=" for rel in lp.relations) + lp.n_rows
@@ -599,11 +522,12 @@ def solve_lp(
         sol, spent = _solve_warm(lp, bound_overrides, max_pivots, start)
         if sol is not None:
             return sol
-    # The crash start's dual phase stands in for phase 1, so it runs under
-    # the full cap rather than a resumed solve's.
+    # The crash start's dual phase is the cold solve's way to feasibility,
+    # so it runs under the full cap rather than a resumed solve's.
     sol, used = _solve_warm(lp, bound_overrides, max_pivots, _crash(lp),
                             dual_cap=max_pivots)
-    if sol is not None:
-        sol.iterations += spent
-        return sol
-    return _solve_two_phase(lp, bound_overrides, max_pivots, spent + used)
+    if sol is None:
+        return LpSolution(LpStatus.NUMERIC_FAILURE, None, math.nan, None, None,
+                          spent + used)
+    sol.iterations += spent
+    return sol

@@ -72,6 +72,18 @@ def test_route_rejects_pairing_flags(capsys, toy2_path, flag):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", [["--force", "999,998"], ["--budget", "0"]])
+def test_route_minimize_rejects_force_and_budget(capsys, toy2_path, flag):
+    # fleet minimisation drops the budget row and forces nothing, so the
+    # flag would be ignored silently
+    for argv in (["--minimize"] + flag, flag + ["--minimize"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["route", toy2_path] + argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--minimize: not allowed with --force or --budget" in err
+
+
 @pytest.mark.parametrize("command, flag", [
     pytest.param("pair", ["--jobs", "2"], id="pair"),
     pytest.param("integrated", ["--jobs", "2"], id="integrated"),

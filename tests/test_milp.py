@@ -290,33 +290,27 @@ def test_model_columns_and_rows():
 def _reference_csc(lp: LinearProgram):
     """The standard-form CSC arrays rebuilt from ``dense_matrix()``, for a
     model whose variables all have lower bound 0: nonzeros column by column,
-    rows ascending, flipped where rhs < 0, then slacks and artificials."""
+    rows ascending, then a slack per inequality row and an artificial per
+    row."""
     a = lp.dense_matrix()
     m, n = a.shape
-    flip = np.where(np.array(lp.rhs) < 0, -1.0, 1.0)
     rows, vals, cols = [], [], []
     for j in range(n):
         for i in np.flatnonzero(a[:, j]):
             rows.append(i)
-            vals.append(a[i, j] * flip[i])
+            vals.append(a[i, j])
             cols.append(j)
-    # a slack per inequality row; it seeds the basis where flipping left it
-    # at +1, and every other row gets an artificial
-    k, seeded = n, set()
+    k = n
     for i, rel in enumerate(lp.relations):
         if rel != "=":
-            v = (1.0 if rel == "<=" else -1.0) * flip[i]
-            if v == 1.0:
-                seeded.add(i)
             rows.append(i)
-            vals.append(v)
+            vals.append(1.0 if rel == "<=" else -1.0)
             cols.append(k)
             k += 1
     for i in range(m):
-        if i not in seeded:
-            rows.append(i)
-            vals.append(1.0)
-            cols.append(k + i)
+        rows.append(i)
+        vals.append(1.0)
+        cols.append(k + i)
     ptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=k + m))])
     return ptr, np.array(rows), np.array(vals), np.array(cols)
 
@@ -428,14 +422,19 @@ def _highs_lp(lp: LinearProgram, overrides=None) -> tuple[str, float]:
     bounds = list(zip(lp.lower, lp.upper))
     for j, box in (overrides or {}).items():
         bounds[j] = box
-    res = optimize.linprog(
-        lp.obj,
+    model = dict(
         A_ub=(a[ub_rows] * sign[ub_rows, None]) if ub_rows.any() else None,
         b_ub=(rhs[ub_rows] * sign[ub_rows]) if ub_rows.any() else None,
         A_eq=a[~ub_rows] if (~ub_rows).any() else None,
         b_eq=rhs[~ub_rows] if (~ub_rows).any() else None,
         bounds=[(lo, None if math.isinf(hi) else hi) for lo, hi in bounds],
         method="highs")
+    res = optimize.linprog(lp.obj, **model)
+    if res.status == 2:
+        # HiGHS presolve can call a feasible, unbounded LP infeasible; the
+        # solve without presolve tells the two apart. It is not the default
+        # because it gives up on some LPs that presolve settles.
+        res = optimize.linprog(lp.obj, options={"presolve": False}, **model)
     return _HIGHS_STATUS[res.status], res.fun
 
 
@@ -488,6 +487,24 @@ def test_lp_matches_highs():
         lp, overrides = _random_sparse_lp(rng)
         seen.add(_assert_agrees_with_highs(lp, overrides))
     assert seen == {"optimal", "infeasible", "unbounded"}
+
+
+def test_highs_reference_tells_unbounded_from_infeasible():
+    # a feasible, unbounded LP that HiGHS presolve reports infeasible
+    lp = LinearProgram()
+    xs = [lp.add_variable(obj=c) for c in (
+        -2.600196481596635, -1.2174484106271581, 4.5755388774404855,
+        -1.6927193075285185, -0.6626531520382564)]
+    lp.add_row(dict(zip(xs, (-1.4677864676965655, 1.735962387537862,
+                             -0.6139062643259248, 0.5188574258984868,
+                             -0.2904386389022695))),
+               "<=", 5.2680722537858085)
+    lp.add_row({xs[0]: 2.686864471439131, xs[2]: 1.4301776245541378,
+                xs[4]: -1.7286401817901997}, ">=", -2.345498458558642)
+    lp.add_row({xs[0]: 1.612167988870218, xs[1]: -1.6279203690233377,
+                xs[3]: -0.4399853670295759}, "<=", 3.10681597374394)
+    assert _assert_agrees_with_highs(lp) == "unbounded"
+    assert tableau_solve_lp(lp)[0] == "unbounded"
 
 
 def _ratio_test_reference(xb, w, ub, basis, tol_pivot):
@@ -838,15 +855,17 @@ def test_crash_basis_is_triangular_and_installs():
     assert structural > 0
 
 
-def test_crash_is_stuck_and_falls_back_to_the_two_phase_solve(monkeypatch):
+def test_stuck_crash_reports_numeric_failure(monkeypatch):
+    # with no start and a crash start that gives up, nothing else runs: the
+    # solve reports NUMERIC_FAILURE with the pivots spent, never an answer
     rng = random.Random(73)
     stuck = []
 
     def give_up(t, max_pivots):
         stuck.append(max_pivots)
-        return "stuck", 0
+        return "stuck", 7
 
-    solved = 0
+    monkeypatch.setattr(simplex, "_dual_iterate", give_up)
     for trial in range(60):
         if trial % 2:
             lp, overrides = _random_sparse_lp(rng)
@@ -855,27 +874,25 @@ def test_crash_is_stuck_and_falls_back_to_the_two_phase_solve(monkeypatch):
                             with_upper=trial % 4 == 0)
             overrides = None
         max_pivots = 10_000
-        two_phase = simplex._solve_two_phase(lp, overrides, max_pivots, 0)
-        monkeypatch.setattr(simplex, "_dual_iterate", give_up)
         got = solve_lp(lp, bound_overrides=overrides, max_pivots=max_pivots)
-        monkeypatch.undo()
         # the crash start's dual phase runs under the full pivot cap
         assert stuck == [max_pivots]
         stuck.clear()
-        assert got.status == two_phase.status
-        assert got.iterations == two_phase.iterations
-        want_status, _, want_obj, _ = tableau_solve_lp(
-            _with_bounds(lp, overrides or {}))
-        assert got.status.value == want_status
-        if got.status is LpStatus.OPTIMAL:
-            assert np.array_equal(got.x, two_phase.x)
-            assert got.objective == pytest.approx(want_obj, abs=1e-6)
-            solved += 1
-    assert solved >= 10
+        assert got.status is LpStatus.NUMERIC_FAILURE
+        assert got.iterations == 7
+        assert got.x is None and got.basis is None
+        # a start that gives up too is counted in
+        got = solve_lp(lp, bound_overrides=overrides, max_pivots=max_pivots,
+                       start=simplex._crash(lp))
+        assert stuck == [simplex.DUAL_PIVOTS_PER_ROW * lp.n_rows
+                         + simplex.DUAL_PIVOTS_MIN, max_pivots]
+        stuck.clear()
+        assert got.status is LpStatus.NUMERIC_FAILURE
+        assert got.iterations == 14
 
 
 @pytest.mark.parametrize("n_legs,n_aircraft", [(40, 4), (60, 6), (80, 7)])
-def test_routing_solves_never_fall_back_to_the_two_phase_solve(
+def test_routing_solves_never_give_up(
         monkeypatch, n_legs, n_aircraft):
     # every cold routing LP goes through the crash start, and every node LP
     # through its parent's basis, without giving up on either
@@ -919,7 +936,7 @@ print("numpy.ma" in sys.modules)
 def test_cold_and_warm_solves_never_import_numpy_ma():
     # numpy.ma costs about 1.3 MB of peak memory; the probe's crash start
     # names the artificial of an uncovered '=' row, and its warm start names
-    # one on the '<=' row a slack seeds
+    # one on the '<=' row
     src = Path(simplex.__file__).resolve().parents[2]
     run = subprocess.run([sys.executable, "-c", _NUMPY_MA_PROBE],
                          capture_output=True, text=True, timeout=120,
