@@ -42,9 +42,13 @@ def _parse_kappa(value: str):
     if value == "auto":
         return "auto"
     try:
-        return int(value)
+        kappa = int(value)
     except ValueError:
-        raise argparse.ArgumentTypeError("kappa must be an integer or 'auto'")
+        kappa = 0
+    if kappa < 1:
+        raise argparse.ArgumentTypeError(
+            "kappa must be an integer of at least 1 or 'auto'")
+    return kappa
 
 
 def _parse_limit(value: str) -> int:

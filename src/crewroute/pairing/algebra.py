@@ -36,6 +36,11 @@ TOP = (3,)
 LONG_DUTY_LEGS = 3
 LONG_PAIRING_NIGHTS = 3
 
+# An ordered completion scan stops only where the floor bound clears the
+# best cost by this share of the magnitudes involved, some 10^6 times the
+# rounding of the few float operations that separate the bound from a cost.
+SCAN_MARGIN = 1e-9
+
 
 def one_core(legs: int, fly: int) -> tuple:
     return (1, legs, fly)
@@ -72,6 +77,7 @@ class PairingAlgebra(ResourceAlgebra):
             raise ValueError("cut dual vector length mismatch")
         self.cut_duals = tuple(min(s, 0.0) for s in sig)
         self._mu_alpha = self.mu * alpha
+        self._nu_beta = self.nu * beta
         self._neutral = (one_core(0, 0), 0.0, 0, 0, 0, (0,) * n_cuts)
 
     def with_duals(self, mu: float, nu: float,
@@ -203,16 +209,27 @@ class PairingAlgebra(ResourceAlgebra):
                     c -= s * k
         return c
 
-    def completion_cost(self, q, bounds, states) -> float:
+    def completion_cost(self, q, bounds, states, ordered=False) -> float:
         """``ResourceAlgebra.completion_cost`` in one pass, bit for bit.
 
         For each bound the type, feasibility and long-duty count of the
         combined core are worked out without building it, and the cost is
-        summed in the float order of ``cost(combine(q, b))``."""
+        summed in the float order of ``cost(combine(q, b))``.
+
+        With mu, nu and the cut duals clamped to <= 0, every term of that
+        cost but the z, mu*alpha and nu*beta*rests terms only adds, so
+        ``cost(combine(q, b)) >= part + floor`` with ``part = z_q + mu*alpha
+        + nu*beta*(r_q + 1)`` and ``floor = z_b + nu*beta*r_b``, the bound's
+        ``floors`` entry, whatever the core types. An ``ordered`` scan
+        therefore stops at the first state whose floor exceeds ``best -
+        part`` by more than ``SCAN_MARGIN`` times the magnitude of the
+        terms: no later state can cost less than ``best``, rounding
+        included."""
         qc, zq, nq, rq, _fly, kq = q
         tq = qc[0]
         max_legs, f_max = self.max_duty_legs, self.f_max
         mu, mu_alpha, nu, beta = self.mu, self._mu_alpha, self.nu, self.beta
+        nub = self._nu_beta
         cut_duals = self.cut_duals if kq else ()
         # The open duty of q that the bound's first duty extends, and the
         # long duties q certifies before it. Against any bound but BOT,
@@ -226,8 +243,19 @@ class PairingAlgebra(ResourceAlgebra):
             open_legs, open_fly = qc[3], qc[4]
             q_long = qc[5] + (1 if qc[1] > LONG_DUTY_LEGS else 0)
         best = math.inf
+        # a state whose floor exceeds stop cannot beat best; +inf until a
+        # first cost is found, and always when the states are unordered
+        stop = math.inf
+        ordered = ordered and len(states) > 1
+        if ordered:
+            part = (zq + mu_alpha) + nub * (rq + 1)
         for s in states:
             bc, zb, nb, rb, _, kb = bounds[s]
+            floor = zb + nub * rb
+            if floor > stop and floor - stop > SCAN_MARGIN * (
+                    abs(zq) + abs(mu_alpha) + abs(nub) * (rq + 1)
+                    + abs(best) + abs(zb) + abs(nub * rb)):
+                break
             tb = bc[0]
             if tq == 0 or tb == 0:
                 g = 0
@@ -253,7 +281,128 @@ class PairingAlgebra(ResourceAlgebra):
                         c -= sig * k
             if c < best:
                 best = c
+                if ordered:
+                    stop = best - part
         return best
+
+    def floors(self, bounds) -> list[float]:
+        """``z_b + nu*beta*r_b`` per bound, the part of ``cost(combine(q,
+        b))`` that ``completion_cost`` bounds by b alone."""
+        nub = self._nu_beta
+        return [b[1] + nub * b[3] for b in bounds]
+
+    # -- state-graph build: clustering keys and cluster bounds ----------------
+
+    def candidate_keys(self, resources, bounds, cands):
+        """``ResourceAlgebra.candidate_keys`` without building a combine:
+        the scalar is ``z_a + z_b`` and the combined core is TOP when
+        neither core is BOT and one is TOP, or both are MULTI and the duty
+        they merge breaks a limit."""
+        max_legs, f_max = self.max_duty_legs, self.f_max
+        scalars = [resources[a][1] + bounds[s][1] for a, s in cands]
+        tops = []
+        arc = None
+        for a, s in cands:
+            if a != arc:
+                arc = a
+                ca = resources[a][0]
+                ta = ca[0]
+            cb = bounds[s][0]
+            tb = cb[0]
+            tops.append(ta != 0 and tb != 0 and (
+                ta == 3 or tb == 3 or (ta == 2 and tb == 2 and (
+                    ca[3] + cb[1] > max_legs or ca[4] + cb[2] > f_max))))
+        return scalars, tops
+
+    def meet_of_combines(self, resources, bounds, cands):
+        """``ResourceAlgebra.meet_of_combines`` in one pass: each member's
+        combined components are met into running minima (maxima for rests)
+        as ``combine`` would form them, keeping the first of equal z as
+        ``meet`` does, and the core is met by type."""
+        max_legs, f_max = self.max_duty_legs, self.f_max
+        z = nights = fly = math.inf
+        rests = -math.inf
+        cuts = None
+        # type of the met core: -1 before any member, 0 BOT, 1 ONE, 2 MULTI,
+        # 3 TOP; m1..m5 hold its componentwise minima
+        t = -1
+        m1 = m2 = m3 = m4 = m5 = 0
+        for a, s in cands:
+            ca, za, na, ra, fa, ka = resources[a]
+            cb, zb, nb, rb, fb, kb = bounds[s]
+            x = za + zb
+            if x < z:
+                z = x
+            x = na + nb
+            if x < nights:
+                nights = x
+            x = ra + rb
+            if x > rests:
+                rests = x
+            x = fa + fb
+            if x < fly:
+                fly = x
+            if ka:
+                if cuts is None:
+                    cuts = list(map(add, ka, kb))
+                else:
+                    cuts = list(map(min, cuts, map(add, ka, kb)))
+            if t == 0:
+                continue
+            ta, tb = ca[0], cb[0]
+            if ta == 0 or tb == 0:
+                t = 0
+                continue
+            if ta == 3 or tb == 3:
+                if t == -1:
+                    t = 3
+                continue
+            if ta == 1:
+                c1, c2 = ca[1] + cb[1], ca[2] + cb[2]
+                if tb == 1:
+                    ct = 1
+                else:
+                    ct, c3, c4, c5 = 2, cb[3], cb[4], cb[5]
+            elif tb == 1:
+                ct, c1, c2 = 2, ca[1], ca[2]
+                c3, c4, c5 = ca[3] + cb[1], ca[4] + cb[2], ca[5]
+            else:
+                legs = ca[3] + cb[1]
+                if legs > max_legs or ca[4] + cb[2] > f_max:
+                    if t == -1:
+                        t = 3
+                    continue
+                ct, c1, c2, c3, c4 = 2, ca[1], ca[2], cb[3], cb[4]
+                c5 = ca[5] + cb[5] + (1 if legs > LONG_DUTY_LEGS else 0)
+            if t == -1 or t == 3:
+                t = ct
+                m1, m2 = c1, c2
+                if ct == 2:
+                    m3, m4, m5 = c3, c4, c5
+            elif t != ct:
+                t = 0
+            else:
+                if c1 < m1:
+                    m1 = c1
+                if c2 < m2:
+                    m2 = c2
+                if ct == 2:
+                    if c3 < m3:
+                        m3 = c3
+                    if c4 < m4:
+                        m4 = c4
+                    if c5 < m5:
+                        m5 = c5
+        if t == 0:
+            core = BOT
+        elif t == 3:
+            core = TOP
+        elif t == 1:
+            core = (1, m1, m2)
+        else:
+            core = (2, m1, m2, m3, m4, m5)
+        return (core, z, nights, rests, fly,
+                tuple(cuts) if cuts is not None else ka)
 
     def infeasible(self, q) -> bool:
         core = q[0]

@@ -18,12 +18,21 @@ that moves between pricing rounds. ``combine`` adds scalars and ``meet``
 takes their minimum, component by component, so the structure of every
 state bound is fixed when the state graph is built, and a round refreshes
 the bounds with a scalar min-plus DP (``update_bounds``).
+
+The build clusters a vertex's candidates on their scalar and top flag
+alone (``candidate_keys``) and bounds each cluster by one fused meet of
+its members' combines (``meet_of_combines``). Each round ``update_bounds``
+also sorts every vertex's states by a floor of the new bounds (``floors``),
+a part of any completion's cost that the bound alone fixes, so the search
+can key a label by scanning the states in floor order and stop at the first
+floor too high to beat the best completion found.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 
@@ -74,12 +83,14 @@ class ResourceAlgebra:
         """True when the structure alone makes the cost +inf."""
         raise NotImplementedError
 
-    def completion_cost(self, q, bounds, states) -> float:
+    def completion_cost(self, q, bounds, states, ordered=False) -> float:
         """The search key of a label: the least cost of a feasible
         ``combine(q, bounds[s])`` over ``s`` in ``states``, +inf if none.
 
-        The reference; an algebra may override it with a fused loop that
-        returns the same float bit for bit."""
+        ``ordered`` says that ``states`` are in ``floors`` order, which lets
+        a scan stop early. The reference scans them all; an algebra may
+        override it with a fused loop that returns the same float bit for
+        bit."""
         best = math.inf
         for s in states:
             qb = self.combine(q, bounds[s])
@@ -88,6 +99,41 @@ class ResourceAlgebra:
                 if c < best:
                     best = c
         return best
+
+    def floors(self, bounds) -> list[float]:
+        """One float per bound, the key that ``update_bounds`` sorts each
+        vertex's states by before an ordered ``completion_cost``. The
+        reference floor is 0 for every bound, which keeps the build order."""
+        return [0.0] * len(bounds)
+
+    # The state-graph build clusters (out-arc, successor-state) candidates
+    # on the scalar and top flag of combine(resources[a], bounds[s]) and
+    # bounds each cluster by the meet of its members' combines.
+
+    def candidate_keys(self, resources, bounds, cands):
+        """The scalars and the top flags of ``combine(resources[a],
+        bounds[s])`` for the ``(a, s)`` in ``cands``, as two lists.
+
+        The reference; an algebra may override it with a loop that returns
+        the same values without building the combined resources."""
+        scalars, tops = [], []
+        for a, s in cands:
+            q = self.combine(resources[a], bounds[s])
+            scalars.append(self.scalar(q))
+            tops.append(self.is_top(q))
+        return scalars, tops
+
+    def meet_of_combines(self, resources, bounds, cands):
+        """``meet`` folded from the left over ``combine(resources[a],
+        bounds[s])`` for the ``(a, s)`` in ``cands``, which is not empty.
+
+        The reference; an algebra may override it with a fused loop that
+        returns an equal resource, float for float."""
+        acc = None
+        for a, s in cands:
+            q = self.combine(resources[a], bounds[s])
+            acc = q if acc is None else self.meet(acc, q)
+        return acc
 
 
 class AdditiveCapacityAlgebra(ResourceAlgebra):
@@ -235,6 +281,12 @@ class StateGraph:
     over the states by number. ``bounds`` holds one suffix bound per state.
     Their structures are fixed at build time; ``update_bounds`` rewrites
     their scalars in place.
+
+    ``states_of`` lists each vertex's states in build order until the first
+    ``update_bounds``, which sorts every list by the algebra's ``floors`` of
+    the new bounds each round and records that algebra in ``ordered_for``.
+    The search passes ``ordered=True`` to ``completion_cost`` only under
+    that same algebra.
     """
 
     graph: RcspGraph
@@ -242,66 +294,84 @@ class StateGraph:
     states_of: list[list[int]]
     state_arcs: list[list[tuple[int, int]]]
     bounds: list
+    ordered_for: object = None
 
     def at(self, vertex: int) -> list:
         """The bounds of the vertex's states."""
         return [self.bounds[s] for s in self.states_of[vertex]]
 
 
-def _cluster_candidates(ests, algebra, kappa):
+def _cluster_candidates(scalars, tops, kappa):
     """Group candidate indices into <= kappa clusters of neighbours in cost
     order, merging the neighbours whose merge degrades the bound least first.
 
-    Costs are dual-free and their scalars finite (instance validation rejects
-    non-finite weights). A cluster's cost is +inf when every member is top and
-    its minimum member scalar otherwise, the cost of the meet of its members
-    without duals. Cost order puts the non-top candidates first, by scalar,
-    and the top ones last, so merging two non-top or two top neighbours loses
-    nothing. Only a non-top cluster followed by a top cluster with a lower
-    minimum scalar loses, the difference of the two minima. Least loss first,
-    ties in the order the neighbour pairs arose, is therefore a series of
-    left-to-right passes that merge every pair of neighbours but that one,
-    skipping past both clusters of each merge, until kappa clusters remain.
-    From three clusters on some pair loses nothing, so the lossy pair is
-    never merged unless kappa is 1."""
-    n = len(ests)
+    ``scalars[i]`` and ``tops[i]`` are the scalar and the top flag of
+    candidate ``i``. Costs are dual-free and scalars finite (instance
+    validation rejects non-finite weights). A cluster's cost is +inf when
+    every member is top and its minimum member scalar otherwise, the cost of
+    the meet of its members without duals. Cost order puts the non-top
+    candidates first, by scalar, and the top ones last, so merging two
+    non-top or two top neighbours loses nothing. Only a non-top cluster
+    followed by a top cluster with a lower minimum scalar loses, the
+    difference of the two minima. Least loss first, ties in the order the
+    neighbour pairs arose, is therefore a series of left-to-right passes
+    that merge every pair of neighbours but that one, skipping past both
+    clusters of each merge, until kappa clusters remain. From three
+    clusters on some pair loses nothing, so the lossy pair is never merged
+    unless kappa is 1.
+
+    Merges only join neighbours, so every cluster is a run of the cost
+    order, kept as the position where it starts, and the top candidates
+    come last, so a cluster is top exactly when it starts at or after the
+    first top position. The only pair that can lose is then the last
+    non-top cluster and the first top one, and a pass is a few slices."""
+    n = len(scalars)
     if n <= kappa:
         return [[i] for i in range(n)]
     if kappa == 1:
         # may need the lossy merge, which a pass never makes
         return [list(range(n))]
-    scalars = [algebra.scalar(b) for b in ests]
-    tops = [algebra.is_top(b) for b in ests]
-    order = sorted(range(n),
-                   key=lambda i: (math.inf if tops[i] else scalars[i], i))
-    # [members, minimum scalar, every member top]
-    clusters = [[[i], scalars[i], tops[i]] for i in order]
-    remaining = n
-    while remaining > kappa:
-        merged = []
-        i = 0
-        while i < len(clusters):
-            a = clusters[i]
-            if i + 1 < len(clusters) and remaining > kappa:
-                b = clusters[i + 1]
-                if a[2] or not b[2] or b[1] >= a[1]:
-                    a[0].extend(b[0])
-                    a[1] = min(a[1], b[1])
-                    a[2] = a[2] and b[2]
-                    remaining -= 1
-                    i += 1
-            merged.append(a)
-            i += 1
-        clusters = merged
-    return [sorted(c[0]) for c in clusters]
+    keys = [math.inf if t else x for x, t in zip(scalars, tops)]
+    order = sorted(range(n), key=keys.__getitem__)  # stable: ties by index
+    first_top = n - sum(tops)
+    starts = list(range(n))
+    while len(starts) > kappa:
+        m = len(starts)
+        merges = m - kappa
+        # b is the first top cluster. A pass pairs clusters (0, 1), (2, 3),
+        # ...; when (b - 1, b) is one of its pairs and loses, cluster b - 1
+        # stays alone and the pairs go on from b.
+        b = bisect_left(starts, first_top)
+        alone = -1
+        if 0 < b < m and b % 2 == 1 and b // 2 < merges:
+            end = starts[b + 1] if b + 1 < m else n
+            low_top = min(scalars[i] for i in order[starts[b]:end])
+            if low_top < scalars[order[starts[b - 1]]]:
+                alone = b - 1
+        if alone < 0:
+            k = min(merges, m // 2)
+            starts = starts[0:2 * k:2] + starts[2 * k:]
+        else:
+            k = min(merges - alone // 2, (m - b) // 2)
+            starts = (starts[0:alone:2] + [starts[alone]]
+                      + starts[b:b + 2 * k:2] + starts[b + 2 * k:])
+    ends = starts[1:] + [n]
+    return [sorted(order[a:e]) for a, e in zip(starts, ends)]
 
 
 def build_state_graph(graph: RcspGraph, algebra, kappa: int | str) -> StateGraph:
     """Build the per-vertex state expansion and its bounds for the graph's
-    arc resources; ``update_bounds`` refreshes the scalars afterwards."""
+    arc resources; ``update_bounds`` refreshes the scalars afterwards.
+
+    A vertex with at most kappa candidates gets one state per candidate,
+    bounded by its combine. Otherwise the candidates are clustered on the
+    keys of ``algebra.candidate_keys`` and each cluster is bounded by
+    ``algebra.meet_of_combines``, without building a combine per
+    candidate."""
     kap = resolve_kappa(kappa, len(graph.kept))
     if kap < 1:
         raise ValueError("kappa must be at least 1")
+    resources = graph.resources
     states_of: list[list[int]] = [[] for _ in range(graph.n_vertices)]
     state_arcs: list[list[tuple[int, int]]] = []
     est: list = []
@@ -316,19 +386,21 @@ def build_state_graph(graph: RcspGraph, algebra, kappa: int | str) -> StateGraph
     for v in reversed(graph.topo_order):
         if v == graph.dest:
             continue
-        cand_arcs: list[tuple[int, int]] = []
-        cand_est: list = []
-        for aid in graph.out[v]:
-            head = graph.arcs[aid][1]
-            for sid in states_of[head]:
-                cand_arcs.append((aid, sid))
-                cand_est.append(algebra.combine(graph.resources[aid], est[sid]))
-        clusters = _cluster_candidates(cand_est, algebra, kap)
-        for cluster in clusters:
-            bound = cand_est[cluster[0]]
-            for idx in cluster[1:]:
-                bound = algebra.meet(bound, cand_est[idx])
-            new_state(v, [cand_arcs[i] for i in cluster], bound)
+        cands = [(aid, sid) for aid in graph.out[v]
+                 for sid in states_of[graph.arcs[aid][1]]]
+        if len(cands) <= kap:
+            for aid, sid in cands:
+                new_state(v, [(aid, sid)],
+                          algebra.combine(resources[aid], est[sid]))
+            continue
+        if kap == 1:
+            clusters = [cands]
+        else:
+            scalars, tops = algebra.candidate_keys(resources, est, cands)
+            clusters = [[cands[i] for i in run]
+                        for run in _cluster_candidates(scalars, tops, kap)]
+        for arcs in clusters:
+            new_state(v, arcs, algebra.meet_of_combines(resources, est, arcs))
 
     return StateGraph(
         graph=graph,
@@ -365,7 +437,9 @@ def update_bounds(sg: StateGraph, arc_scalar, algebra) -> None:
     must be those the state graph was built with. A min-plus DP over the
     state arcs, in the order ``compute_bounds`` meets them, recomputes each
     bound's scalar, so every bound equals ``compute_bounds`` on the new
-    resources bit for bit. The bounds are rewritten in place.
+    resources bit for bit. The bounds are rewritten in place, and each
+    vertex's states are then sorted by the algebra's ``floors`` of the new
+    bounds (stable, so equal floors keep their order).
     """
     bounds = sg.bounds
     scalars = [0.0] * len(sg.state_arcs)
@@ -380,6 +454,12 @@ def update_bounds(sg: StateGraph, arc_scalar, algebra) -> None:
                 best = x
         scalars[sid] = best
         bounds[sid] = algebra.with_scalar(bounds[sid], best)
+    if sg.kappa > 1:  # at kappa 1 no vertex has two states to order
+        key = algebra.floors(bounds).__getitem__
+        for states in sg.states_of:
+            if len(states) > 1:
+                states.sort(key=key)
+    sg.ordered_for = algebra
 
 
 class PartialPath:
@@ -437,8 +517,9 @@ def solve(
 
     root = PartialPath(graph.origin, algebra.neutral, None, None)
     seq = 0
+    ordered = sg.ordered_for is algebra
     key = algebra.completion_cost(root.resource, sg.bounds,
-                                  sg.states_of[graph.origin])
+                                  sg.states_of[graph.origin], ordered)
     heap = [(key, seq, root)]
     nondom: dict[int, list] = {}
 
@@ -472,7 +553,7 @@ def solve(
             seq += 1
             child = PartialPath(head, q2, lab, aid)
             child_key = algebra.completion_cost(q2, sg.bounds,
-                                                sg.states_of[head])
+                                                sg.states_of[head], ordered)
             heapq.heappush(heap, (child_key, seq, child))
 
     if best is None:
@@ -499,8 +580,9 @@ def enumerate_within(
 
     root = PartialPath(graph.origin, algebra.neutral, None, None)
     seq = 0
+    ordered = sg.ordered_for is algebra
     key = algebra.completion_cost(root.resource, sg.bounds,
-                                  sg.states_of[graph.origin])
+                                  sg.states_of[graph.origin], ordered)
     heap = [(key, seq, root)]
     while heap:
         key, _, lab = heapq.heappop(heap)
@@ -525,7 +607,7 @@ def enumerate_within(
             seq += 1
             child = PartialPath(head, q2, lab, aid)
             child_key = algebra.completion_cost(q2, sg.bounds,
-                                                sg.states_of[head])
+                                                sg.states_of[head], ordered)
             heapq.heappush(heap, (child_key, seq, child))
     return found, stats
 

@@ -41,9 +41,12 @@ def test_missing_required_flag_exits_two(capsys):
 
 
 def test_bad_kappa_exits_two(capsys, toy2_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["pair", toy2_path, "--kappa", "fast"])
-    assert exc.value.code == 2
+    for command, value in (("pair", "fast"), ("pair", "0"),
+                           ("integrated", "-3")):
+        with pytest.raises(SystemExit) as exc:
+            main([command, toy2_path, "--kappa", value])
+        assert exc.value.code == 2
+        assert "kappa must be an integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -13,6 +13,7 @@ from conftest import (
     check_laws,
     check_monotone,
     dyadic,
+    random_pairing_dag,
     random_resource,
     small_pairing_algebra,
     worsen,
@@ -24,7 +25,12 @@ from crewroute.pairing.algebra import (
     multi_core,
     one_core,
 )
-from crewroute.rcsp import AdditiveCapacityAlgebra, ResourceAlgebra
+from crewroute.rcsp import (
+    AdditiveCapacityAlgebra,
+    ResourceAlgebra,
+    build_state_graph,
+    update_bounds,
+)
 
 
 def _alg(**kw) -> PairingAlgebra:
@@ -307,3 +313,113 @@ def test_completion_cost_matches_reference_bit_for_bit():
                 want = ResourceAlgebra.completion_cost(alg, q, bounds, states)
                 assert repr(got) == repr(want), (q, states)
     assert alg.completion_cost(q, bounds, []) == math.inf
+
+
+# ---------------------------------------------------------------------------
+# the fused state-graph build kernels and the ordered completion scan
+
+
+def test_build_kernels_match_reference_bit_for_bit():
+    # candidate keys and the meet of a cluster's combines, fused, against
+    # the combine-per-candidate references: BOT, TOP and MULTI cores on
+    # both sides, cut counts, z off the dyadic grid, runs of one arc
+    rng = random.Random(43)
+    for _ in range(300):
+        n_cuts = rng.choice((0, 1, 3))
+        alg = small_pairing_algebra(rng, n_cuts=n_cuts)
+        resources = [random_resource(rng, n_cuts) for _ in range(8)]
+        bounds = [random_resource(rng, n_cuts) for _ in range(12)]
+        resources += [_off_grid(rng, q) for q in resources[:4]]
+        bounds += [_off_grid(rng, q) for q in bounds[:6]]
+        for k in (1, 2, rng.randrange(3, 40)):
+            cands = sorted((rng.randrange(len(resources)),
+                            rng.randrange(len(bounds))) for _ in range(k))
+            assert (repr(alg.candidate_keys(resources, bounds, cands))
+                    == repr(ResourceAlgebra.candidate_keys(
+                        alg, resources, bounds, cands)))
+            assert (repr(alg.meet_of_combines(resources, bounds, cands))
+                    == repr(ResourceAlgebra.meet_of_combines(
+                        alg, resources, bounds, cands)))
+
+
+def _scan_agrees(alg, q, bounds, states):
+    """The ordered scan over ``states`` sorted by floor returns the
+    reference's float over ``states`` as given."""
+    floors = alg.floors(bounds)
+    ordered = sorted(states, key=floors.__getitem__)
+    got = alg.completion_cost(q, bounds, ordered, True)
+    want = ResourceAlgebra.completion_cost(alg, q, bounds, states)
+    assert repr(got) == repr(want), (q, states)
+    return want
+
+
+def test_ordered_scan_matches_reference_after_update_bounds():
+    # update_bounds sorts each vertex's states by floor under the round's
+    # duals; the search's early-stopping keys must equal the reference over
+    # the build order for every label the search could push
+    rng = random.Random(47)
+    for trial in range(40):
+        g = random_pairing_dag(rng)
+        base = small_pairing_algebra()
+        sg = build_state_graph(g, base, rng.choice((2, 3, 50)))
+        built = [list(states) for states in sg.states_of]
+        for _ in range(3):
+            alg = small_pairing_algebra(rng) if trial % 2 else PairingAlgebra(
+                4, 480, rng.random(), rng.random(), n_cuts=2,
+                mu=-rng.uniform(0, 50), nu=-rng.uniform(0, 50),
+                cut_duals=(-rng.uniform(0, 20), -rng.uniform(0, 20)))
+            z = [dyadic(rng) for _ in g.arcs]
+            update_bounds(sg, z, alg)
+            assert sg.ordered_for is alg
+            floors = alg.floors(sg.bounds)
+            for v in g.kept:
+                states = sg.states_of[v]
+                assert sorted(states) == sorted(built[v])
+                assert [floors[s] for s in states] == sorted(
+                    floors[s] for s in states)
+                for _ in range(5):
+                    q = random_resource(rng)
+                    if rng.random() < 0.5:
+                        q = _off_grid(rng, q)
+                    got = alg.completion_cost(q, sg.bounds, states, True)
+                    want = ResourceAlgebra.completion_cost(
+                        alg, q, sg.bounds, built[v])
+                    assert repr(got) == repr(want)
+
+
+def test_ordered_scan_edge_cases():
+    alg = _alg(n_cuts=1, mu=-3.0, nu=-2.0, cut_duals=(-1.5,))
+    ok = one_core(1, 60)
+    # duals that reverse the build order: z falls along the list, so the
+    # floor order is the list reversed and the cheapest state comes last
+    bounds = [_q(ok, z=10.0 - i, rests=1, cuts=(0,)) for i in range(8)]
+    assert _scan_agrees(alg, _q(ok, cuts=(1,)), bounds, range(8)) == \
+        alg.cost(alg.combine(_q(ok, cuts=(1,)), bounds[7]))
+    # a BOT label against a TOP bound has a finite cost, and the TOP bound
+    # with the lowest floor must not be skipped
+    bounds = [_q(TOP, z=-5.0, cuts=(0,)), _q(ok, z=4.0, cuts=(0,)),
+              _q(TOP, z=9.0, cuts=(2,))]
+    got = _scan_agrees(alg, _q(BOT, z=1.0, cuts=(0,)), bounds, range(3))
+    assert got == alg.cost(alg.combine(_q(BOT, z=1.0, cuts=(0,)),
+                                       bounds[0]))
+    assert math.isfinite(got)
+    # floors within the margin of the best: states an ulp or a rounding
+    # apart, where only the extra terms (long duties, cuts, nights) differ
+    rng = random.Random(53)
+    for _ in range(200):
+        alg = PairingAlgebra(4, 480, rng.random(), rng.random(), n_cuts=1,
+                             mu=-rng.uniform(0, 5), nu=-rng.uniform(0, 5),
+                             cut_duals=(-rng.uniform(0, 1e-9),))
+        z0 = rng.uniform(-100.0, 100.0)
+        bounds = []
+        for _ in range(12):
+            z = z0
+            for _ in range(rng.randrange(0, 3)):
+                z = math.nextafter(z, rng.choice((-math.inf, math.inf)))
+            core = rng.choice((ok, multi_core(1, 60, 4, 60, 0), BOT, TOP))
+            bounds.append(_q(core, z=z, nights=rng.randrange(0, 4),
+                             rests=rng.randrange(0, 2),
+                             cuts=(rng.randrange(0, 2),)))
+        q = _q(rng.choice((ok, BOT)), z=rng.uniform(-100.0, 100.0),
+               rests=rng.randrange(0, 3), cuts=(rng.randrange(0, 2),))
+        _scan_agrees(alg, q, bounds, range(len(bounds)))

@@ -18,6 +18,7 @@ from crewroute.pairing.algebra import TOP, PairingAlgebra, one_core
 from crewroute.rcsp import (
     AdditiveCapacityAlgebra,
     RcspGraph,
+    ResourceAlgebra,
     _cluster_candidates,
     brute_force_oracle,
     build_state_graph,
@@ -186,6 +187,10 @@ def _top(z):
     return (TOP, z, 0, 0, 0, ())
 
 
+def _keys(ests, alg):
+    return [alg.scalar(b) for b in ests], [alg.is_top(b) for b in ests]
+
+
 @pytest.mark.parametrize("ests, kappa, want", [
     # non-top candidates in scalar order 2 6 0 5 3, then tops 1 4 7; the
     # pair (3, 1) would lose 9 - 1 and is never merged above kappa 1
@@ -202,7 +207,7 @@ def _top(z):
 ])
 def test_cluster_partition_is_pinned(ests, kappa, want):
     alg = PairingAlgebra(4, 600, 0.25, 0.5)
-    assert _cluster_candidates(ests, alg, kappa) == want
+    assert _cluster_candidates(*_keys(ests, alg), kappa) == want
 
 
 def test_cluster_runs_follow_cost_order():
@@ -218,7 +223,7 @@ def test_cluster_runs_follow_cost_order():
         order = sorted(range(n), key=lambda i: (
             math.inf if alg.is_top(ests[i]) else alg.scalar(ests[i]), i))
         kappa = rng.randrange(1, 12)
-        clusters = _cluster_candidates(ests, alg, kappa)
+        clusters = _cluster_candidates(*_keys(ests, alg), kappa)
         if n <= kappa:
             assert clusters == [[i] for i in range(n)]
             continue
@@ -228,6 +233,53 @@ def test_cluster_runs_follow_cost_order():
             runs.append(sorted(order[pos:pos + len(c)]))
             pos += len(c)
         assert clusters == runs
+
+
+def _pairwise_passes(scalars, tops, kappa):
+    """The clustering as literal passes over neighbour pairs, each cluster
+    a member list with its minimum scalar and whether every member is top:
+    the reference for the run-slicing passes of ``_cluster_candidates``."""
+    n = len(scalars)
+    if n <= kappa:
+        return [[i] for i in range(n)]
+    if kappa == 1:
+        return [list(range(n))]
+    order = sorted(range(n),
+                   key=lambda i: (math.inf if tops[i] else scalars[i], i))
+    clusters = [[[i], scalars[i], tops[i]] for i in order]
+    remaining = n
+    while remaining > kappa:
+        merged = []
+        i = 0
+        while i < len(clusters):
+            a = clusters[i]
+            if i + 1 < len(clusters) and remaining > kappa:
+                b = clusters[i + 1]
+                if a[2] or not b[2] or b[1] >= a[1]:
+                    a[0].extend(b[0])
+                    a[1] = min(a[1], b[1])
+                    a[2] = a[2] and b[2]
+                    remaining -= 1
+                    i += 1
+            merged.append(a)
+            i += 1
+        clusters = merged
+    return [sorted(c[0]) for c in clusters]
+
+
+def test_cluster_passes_match_pairwise_reference():
+    # top shares from none to all, tied scalars, and kappa from 1 to past
+    # the candidate count, so the lossy pair lines up with a pass both ways
+    rng = random.Random(41)
+    for _ in range(3000):
+        n = rng.randrange(0, 60)
+        p_top = rng.choice((0.0, 0.2, 0.5, 0.9, 1.0))
+        span = rng.choice((2, 6, 100))
+        scalars = [rng.randrange(-span, span) / 2.0 for _ in range(n)]
+        tops = [rng.random() < p_top for _ in range(n)]
+        kappa = rng.randrange(1, n + 3)
+        assert (_cluster_candidates(scalars, tops, kappa)
+                == _pairwise_passes(scalars, tops, kappa))
 
 
 def _with_scalars(graph, algebra, scalars):
@@ -431,3 +483,52 @@ def test_oracle_path_guard():
     g = RcspGraph(11, arcs, 0, 10, res)
     with pytest.raises(RuntimeError, match="path guard"):
         brute_force_oracle(g, AdditiveCapacityAlgebra(9), max_paths=10)
+
+
+# ---------------------------------------------------------------------------
+# the fused build on pricing windows
+
+
+class _ReferenceBuild(PairingAlgebra):
+    """Builds through the generic combine-per-candidate references."""
+
+    candidate_keys = ResourceAlgebra.candidate_keys
+    meet_of_combines = ResourceAlgebra.meet_of_combines
+
+
+def _window_builds(kappa, n_cuts):
+    from crewroute.generate import generate_instance
+    from crewroute.instance import ConnectionKind, build_connections
+    from crewroute.pairing.network import arc_resources, build_pricing_networks
+
+    inst = generate_instance(6, 2, 60, 6, 7)
+    rules = inst.rules
+    args = (rules.max_legs_per_duty, rules.F_max, rules.alpha, rules.beta)
+    fused = PairingAlgebra(*args, n_cuts=n_cuts)
+    ref = _ReferenceBuild(*args, n_cuts=n_cuts)
+    conns = build_connections(inst)
+    shorts = sorted(c.key for c in conns if c.kind == ConnectionKind.SHORT)
+    cut_sets = tuple(frozenset(shorts[i::n_cuts]) for i in range(n_cuts))
+    for net in build_pricing_networks(inst, conns):
+        net.graph.resources = arc_resources(net, inst, fused, {}, cut_sets)
+        yield (_state_graph(net.graph, fused, kappa),
+               build_state_graph(net.graph, ref, kappa))
+
+
+@pytest.mark.parametrize("kappa", [1, 2, 5, 50])
+@pytest.mark.parametrize("n_cuts", [0, 2])
+def test_fused_build_matches_reference_build(kappa, n_cuts):
+    # keys without combines, run-sliced passes and one meet of combines
+    # per cluster leave the state graph of the reference build, float for
+    # float; _state_graph also checks the bounds against compute_bounds
+    for sg, want in _window_builds(kappa, n_cuts):
+        assert sg.states_of == want.states_of
+        assert sg.state_arcs == want.state_arcs
+        assert repr(sg.bounds) == repr(want.bounds)
+
+
+def test_kappa_50_state_graph_size_is_pinned():
+    # the state and state-arc counts of the fused build's predecessor
+    sgs = [sg for sg, _ in _window_builds(50, 0)]
+    assert sum(len(sg.state_arcs) for sg in sgs) == 4655
+    assert sum(len(a) for sg in sgs for a in sg.state_arcs) == 13087
