@@ -1,6 +1,6 @@
 """Lattice ordered monoid encoding crew duty rules and pricing duals.
 
-A resource is ``(core, z, nights, rests, fly, cuts)``:
+A resource is ``(core, z, nights, rests, fly)``:
 
 * ``core`` summarizes the duty structure of a leg sequence. ``ONE`` holds
   the adjusted leg counter and padded flying of a single open duty, ``MULTI``
@@ -10,12 +10,12 @@ A resource is ``(core, z, nights, rests, fly, cuts)``:
   path). Flying is padded at each duty start by ``f_max - limit(start)`` so
   a single threshold check against ``f_max`` enforces the time-of-day
   dependent duty flying limits.
-* ``z`` accumulates pairing cost minus covered leg duals.
+* ``z`` accumulates pairing cost minus the duals the path's arcs pay: the
+  cover duals of its legs and the cut duals of its short connections.
 * ``nights`` counts hotel nights, which decides whether a pairing is long.
 * ``rests`` counts overnight rests; duties = rests + 1. Its order is
   reversed (more rests never costs more), so meet takes the maximum.
 * ``fly`` carries total flying minutes for reporting.
-* ``cuts`` counts, per active cut, the cut connections the path uses.
 
 On a complete origin-destination path the scalar cost equals the exact
 reduced cost of the priced pairing column.
@@ -24,7 +24,6 @@ reduced cost of the priced pairing column.
 from __future__ import annotations
 
 import math
-from operator import add, le
 
 from ..rcsp import ResourceAlgebra
 
@@ -59,34 +58,23 @@ class PairingAlgebra(ResourceAlgebra):
         f_max: int,
         alpha: float,
         beta: float,
-        n_cuts: int = 0,
         mu: float = 0.0,
         nu: float = 0.0,
-        cut_duals: tuple[float, ...] | None = None,
     ):
         self.max_duty_legs = max_duty_legs
         self.f_max = f_max
         self.alpha = alpha
         self.beta = beta
-        self.n_cuts = n_cuts
         # duals of <= rows are clamped non-positive to absorb solver noise
         self.mu = min(mu, 0.0)
         self.nu = min(nu, 0.0)
-        sig = tuple(cut_duals) if cut_duals is not None else (0.0,) * n_cuts
-        if len(sig) != n_cuts:
-            raise ValueError("cut dual vector length mismatch")
-        self.cut_duals = tuple(min(s, 0.0) for s in sig)
         self._mu_alpha = self.mu * alpha
         self._nu_beta = self.nu * beta
-        self._neutral = (one_core(0, 0), 0.0, 0, 0, 0, (0,) * n_cuts)
+        self._neutral = (one_core(0, 0), 0.0, 0, 0, 0)
 
-    def with_duals(self, mu: float, nu: float,
-                   cut_duals: tuple[float, ...] | None = None) -> "PairingAlgebra":
-        return PairingAlgebra(
-            self.max_duty_legs, self.f_max, self.alpha, self.beta,
-            n_cuts=self.n_cuts, mu=mu, nu=nu,
-            cut_duals=cut_duals if cut_duals is not None else self.cut_duals,
-        )
+    def with_duals(self, mu: float, nu: float) -> "PairingAlgebra":
+        return PairingAlgebra(self.max_duty_legs, self.f_max, self.alpha,
+                              self.beta, mu=mu, nu=nu)
 
     # -- core operations ----------------------------------------------------
 
@@ -111,8 +99,8 @@ class PairingAlgebra(ResourceAlgebra):
     # and signed zeros included.
 
     def combine(self, q1, q2):
-        c1, z1, n1, r1, f1, k1 = q1
-        c2, z2, n2, r2, f2, k2 = q2
+        c1, z1, n1, r1, f1 = q1
+        c2, z2, n2, r2, f2 = q2
         t1, t2 = c1[0], c2[0]
         if t1 == 0 or t2 == 0:
             core = BOT
@@ -132,8 +120,7 @@ class PairingAlgebra(ResourceAlgebra):
             else:
                 core = (2, c1[1], c1[2], c2[3], c2[4],
                         c1[5] + c2[5] + (1 if legs > LONG_DUTY_LEGS else 0))
-        return (core, z1 + z2, n1 + n2, r1 + r2, f1 + f2,
-                tuple(map(add, k1, k2)) if k1 else k1)
+        return (core, z1 + z2, n1 + n2, r1 + r2, f1 + f2)
 
     @property
     def neutral(self):
@@ -151,17 +138,14 @@ class PairingAlgebra(ResourceAlgebra):
             if t1 != t2:
                 return False
             if t1 == 1:
-                if not (c1[1] <= c2[1] and c1[2] <= c2[2]):
-                    return False
-            elif not (c1[1] <= c2[1] and c1[2] <= c2[2] and c1[3] <= c2[3]
-                      and c1[4] <= c2[4] and c1[5] <= c2[5]):
-                return False
-        k1 = q1[5]
-        return all(map(le, k1, q2[5])) if k1 else True
+                return c1[1] <= c2[1] and c1[2] <= c2[2]
+            return (c1[1] <= c2[1] and c1[2] <= c2[2] and c1[3] <= c2[3]
+                    and c1[4] <= c2[4] and c1[5] <= c2[5])
+        return True
 
     def meet(self, q1, q2):
-        c1, z1, n1, r1, f1, k1 = q1
-        c2, z2, n2, r2, f2, k2 = q2
+        c1, z1, n1, r1, f1 = q1
+        c2, z2, n2, r2, f2 = q2
         t1, t2 = c1[0], c2[0]
         if t1 == 0 or t2 == 0:
             core = BOT
@@ -174,8 +158,7 @@ class PairingAlgebra(ResourceAlgebra):
         else:
             core = tuple(map(min, c1, c2))
         return (core, z2 if z2 < z1 else z1, n2 if n2 < n1 else n1,
-                r2 if r2 > r1 else r1, f2 if f2 < f1 else f1,
-                tuple(map(min, k1, k2)) if k1 else k1)
+                r2 if r2 > r1 else r1, f2 if f2 < f1 else f1)
 
     def join(self, q1, q2):
         return (
@@ -184,11 +167,10 @@ class PairingAlgebra(ResourceAlgebra):
             max(q1[2], q2[2]),
             min(q1[3], q2[3]),
             max(q1[4], q2[4]),
-            tuple(max(a, b) for a, b in zip(q1[5], q2[5])),
         )
 
     def cost(self, q) -> float:
-        core, z, nights, rests, _fly, cuts = q
+        core, z, nights, rests, _fly = q
         t = core[0]
         if t == 3:
             return math.inf
@@ -202,12 +184,7 @@ class PairingAlgebra(ResourceAlgebra):
         else:
             g = (core[5] + (1 if core[1] > LONG_DUTY_LEGS else 0)
                  + (1 if core[3] > LONG_DUTY_LEGS else 0))
-        c -= self.nu * (g - self.beta * (rests + 1))
-        if cuts:
-            for s, k in zip(self.cut_duals, cuts):
-                if k:
-                    c -= s * k
-        return c
+        return c - self.nu * (g - self.beta * (rests + 1))
 
     def completion_cost(self, q, bounds, states, ordered=False) -> float:
         """``ResourceAlgebra.completion_cost`` in one pass, bit for bit.
@@ -216,21 +193,20 @@ class PairingAlgebra(ResourceAlgebra):
         combined core are worked out without building it, and the cost is
         summed in the float order of ``cost(combine(q, b))``.
 
-        With mu, nu and the cut duals clamped to <= 0, every term of that
-        cost but the z, mu*alpha and nu*beta*rests terms only adds, so
-        ``cost(combine(q, b)) >= part + floor`` with ``part = z_q + mu*alpha
-        + nu*beta*(r_q + 1)`` and ``floor = z_b + nu*beta*r_b``, the bound's
-        ``floors`` entry, whatever the core types. An ``ordered`` scan
+        With mu and nu clamped to <= 0, every term of that cost but the z,
+        mu*alpha and nu*beta*rests terms only adds, so ``cost(combine(q, b))
+        >= part + floor`` with ``part = z_q + mu*alpha + nu*beta*(r_q + 1)``
+        and ``floor = z_b + nu*beta*r_b``, the bound's ``floors`` entry,
+        whatever the core types. An ``ordered`` scan
         therefore stops at the first state whose floor exceeds ``best -
         part`` by more than ``SCAN_MARGIN`` times the magnitude of the
         terms: no later state can cost less than ``best``, rounding
         included."""
-        qc, zq, nq, rq, _fly, kq = q
+        qc, zq, nq, rq, _fly = q
         tq = qc[0]
         max_legs, f_max = self.max_duty_legs, self.f_max
         mu, mu_alpha, nu, beta = self.mu, self._mu_alpha, self.nu, self.beta
         nub = self._nu_beta
-        cut_duals = self.cut_duals if kq else ()
         # The open duty of q that the bound's first duty extends, and the
         # long duties q certifies before it. Against any bound but BOT,
         # q is dead when it is TOP or its closed first duty breaks a limit.
@@ -250,7 +226,7 @@ class PairingAlgebra(ResourceAlgebra):
         if ordered:
             part = (zq + mu_alpha) + nub * (rq + 1)
         for s in states:
-            bc, zb, nb, rb, _, kb = bounds[s]
+            bc, zb, nb, rb, _ = bounds[s]
             floor = zb + nub * rb
             if floor > stop and floor - stop > SCAN_MARGIN * (
                     abs(zq) + abs(mu_alpha) + abs(nub) * (rq + 1)
@@ -274,11 +250,6 @@ class PairingAlgebra(ResourceAlgebra):
             if nq + nb >= LONG_PAIRING_NIGHTS:
                 c -= mu
             c -= nu * (g - beta * (rq + rb + 1))
-            if cut_duals:
-                for sig, ka, kc in zip(cut_duals, kq, kb):
-                    k = ka + kc
-                    if k:
-                        c -= sig * k
             if c < best:
                 best = c
                 if ordered:
@@ -322,14 +293,13 @@ class PairingAlgebra(ResourceAlgebra):
         max_legs, f_max = self.max_duty_legs, self.f_max
         z = nights = fly = math.inf
         rests = -math.inf
-        cuts = None
         # type of the met core: -1 before any member, 0 BOT, 1 ONE, 2 MULTI,
         # 3 TOP; m1..m5 hold its componentwise minima
         t = -1
         m1 = m2 = m3 = m4 = m5 = 0
         for a, s in cands:
-            ca, za, na, ra, fa, ka = resources[a]
-            cb, zb, nb, rb, fb, kb = bounds[s]
+            ca, za, na, ra, fa = resources[a]
+            cb, zb, nb, rb, fb = bounds[s]
             x = za + zb
             if x < z:
                 z = x
@@ -342,11 +312,6 @@ class PairingAlgebra(ResourceAlgebra):
             x = fa + fb
             if x < fly:
                 fly = x
-            if ka:
-                if cuts is None:
-                    cuts = list(map(add, ka, kb))
-                else:
-                    cuts = list(map(min, cuts, map(add, ka, kb)))
             if t == 0:
                 continue
             ta, tb = ca[0], cb[0]
@@ -401,8 +366,7 @@ class PairingAlgebra(ResourceAlgebra):
             core = (1, m1, m2)
         else:
             core = (2, m1, m2, m3, m4, m5)
-        return (core, z, nights, rests, fly,
-                tuple(cuts) if cuts is not None else ka)
+        return (core, z, nights, rests, fly)
 
     def infeasible(self, q) -> bool:
         core = q[0]
@@ -424,7 +388,7 @@ class PairingAlgebra(ResourceAlgebra):
 
     @staticmethod
     def with_scalar(q, s):
-        return (q[0], s, q[2], q[3], q[4], q[5])
+        return (q[0], s, q[2], q[3], q[4])
 
     @staticmethod
     def is_top(q) -> bool:

@@ -16,10 +16,11 @@ window networks and their pricers, the master with its column pool, and
 the last optimal master basis. Each master LP resumes from the previous
 one's basis, and each integer solve starts its root from the converged
 column-generation basis. A short-connection cut (``add_cut``) appends one
-master row, whose slack joins the basis, and refreshes each window's arc
-resources and state graph for the extra cut count; every pooled column
-stays. The integrated loop therefore re-solves instead of restarting, and
-a report's ``n_columns`` is the size of the session's pool.
+master row, whose slack joins the basis, and nothing else: every pooled
+column stays, and each round prices the row's dual on the arcs of its
+short connections, so arc resources and state graphs are built once per
+session. The integrated loop therefore re-solves instead of restarting,
+and a report's ``n_columns`` is the size of the session's pool.
 
 The master LP is solved with column upper bounds relaxed to infinity. The
 cover equalities already imply y <= 1, so the optimum is unchanged, and it
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..instance import Connection, Instance, build_connections
+from ..instance import Connection, ConnectionKind, Instance, build_connections
 from ..milp import Basis, LpStatus, MipStatus, solve_lp, solve_mip
 from ..rcsp import build_state_graph, enumerate_within, solve, update_bounds
 from .algebra import PairingAlgebra
@@ -43,6 +44,7 @@ from .network import (
     WindowNetwork,
     arc_dual_legs,
     arc_resources,
+    arc_shorts,
     build_pricing_networks,
     decode_pairing,
 )
@@ -94,31 +96,41 @@ class PairingResult:
         }
 
 
+def connection_duals(cuts: tuple[CutRow, ...],
+                     sigma) -> dict[tuple[int, int], float]:
+    """Each cut connection's dual: the sum of the duals ``sigma`` of the cut
+    rows that hold it, each clamped non-positive to absorb solver noise."""
+    out: dict[tuple[int, int], float] = {}
+    for cut, s in zip(cuts, sigma):
+        s = min(s, 0.0)
+        for key in cut.conns:
+            out[key] = out.get(key, 0.0) + s
+    return out
+
+
 class _WindowPricer:
     """One window's network and the state graph that prices it."""
 
     def __init__(self, net: WindowNetwork, inst: Instance,
-                 base_algebra: PairingAlgebra,
-                 cut_sets: tuple[frozenset, ...], kappa):
+                 base_algebra: PairingAlgebra, kappa):
         self.net = net
-        self.kappa = kappa
-        # Duals only move z: keep the leg whose cover dual each arc pays.
-        self.dual_legs = arc_dual_legs(net)
-        self.set_cuts(inst, base_algebra, cut_sets)
-
-    def set_cuts(self, inst: Instance, base_algebra: PairingAlgebra,
-                 cut_sets: tuple[frozenset, ...]) -> None:
-        """Dual-free arc resources and the state graph for a cut pool."""
-        graph = self.net.graph
-        graph.resources = arc_resources(self.net, inst, base_algebra, {},
-                                        cut_sets)
-        self.state_graph = build_state_graph(graph, base_algebra, self.kappa)
-        self.base_z = [base_algebra.scalar(q) for q in graph.resources]
+        graph = net.graph
+        graph.resources = arc_resources(net, inst, base_algebra, {})
+        self.state_graph = build_state_graph(graph, base_algebra, kappa)
         self.algebra = base_algebra
+        # Duals only move z: keep each arc's dual-free z, the leg whose
+        # cover dual it pays and the short connection it flies.
+        self.base_z = [base_algebra.scalar(q) for q in graph.resources]
+        self.dual_legs = arc_dual_legs(net)
+        self.short_arcs = arc_shorts(net)
 
-    def reprice(self, algebra: PairingAlgebra, leg_duals: dict[int, float]):
+    def reprice(self, algebra: PairingAlgebra, leg_duals: dict[int, float],
+                conn_duals: dict[tuple[int, int], float]):
         z = [b - leg_duals.get(leg, 0.0)
              for b, leg in zip(self.base_z, self.dual_legs)]
+        for aid, key in self.short_arcs:
+            if key in conn_duals:
+                z[aid] -= conn_duals[key]
         graph = self.net.graph
         graph.resources = list(map(algebra.with_scalar, graph.resources, z))
         self.algebra = algebra
@@ -142,13 +154,19 @@ class PairingSession:
         if connections is None:
             connections = build_connections(inst)
         self.inst = inst
-        self.master = MasterProblem(inst, tuple(cuts))
+        self.shorts = frozenset(c.key for c in connections
+                                if c.kind == ConnectionKind.SHORT)
+        self.master = MasterProblem(inst)
         self.basis: Basis | None = None
-        self.base_algebra = self._algebra()
-        kappa = inst.rules.kappa if kappa is None else kappa
-        cut_sets = self._cut_sets()
+        for cut in cuts:
+            self.add_cut(cut)
+        rules = inst.rules
+        self.base_algebra = PairingAlgebra(rules.max_legs_per_duty,
+                                           rules.F_max, rules.alpha,
+                                           rules.beta)
+        kappa = rules.kappa if kappa is None else kappa
         self.pricers = [
-            _WindowPricer(n, inst, self.base_algebra, cut_sets, kappa)
+            _WindowPricer(n, inst, self.base_algebra, kappa)
             for n in build_pricing_networks(inst, connections)
         ]
 
@@ -156,25 +174,18 @@ class PairingSession:
     def cuts(self) -> tuple[CutRow, ...]:
         return self.master.cuts
 
-    def _algebra(self) -> PairingAlgebra:
-        rules = self.inst.rules
-        return PairingAlgebra(rules.max_legs_per_duty, rules.F_max,
-                              rules.alpha, rules.beta,
-                              n_cuts=len(self.cuts))
-
-    def _cut_sets(self) -> tuple[frozenset, ...]:
-        return tuple(c.conns for c in self.cuts)
-
     def add_cut(self, cut: CutRow) -> None:
-        """Add a cut row to the master, its slack to the basis and its count
-        to every window's arc resources."""
+        """Add a cut row to the master and its slack to the basis.
+
+        The master counts a pairing's short connections only, so a cut on
+        any other connection is a ValueError."""
+        other = cut.conns - self.shorts
+        if other:
+            raise ValueError(f"cut connection {min(other)} is not a short "
+                             f"connection of the instance")
         row = self.master.add_cut(cut)
         if self.basis is not None:
             self.basis = self.basis.with_slack(row)
-        self.base_algebra = self._algebra()
-        cut_sets = self._cut_sets()
-        for pricer in self.pricers:
-            pricer.set_cuts(self.inst, self.base_algebra, cut_sets)
 
     def solve(self, path_limit: int = 200_000, node_limit: int = 200_000,
               max_rounds: int = 500) -> PairingResult:
@@ -237,11 +248,13 @@ class PairingSession:
             stats["lp_values"].append(lp_sol.objective)
             stats["pricing_rounds"] += 1
             leg_duals, mu, nu, sigma = master.duals_of(lp_sol.duals)
-            algebra = base_algebra.with_duals(mu, nu, sigma)
+            algebra = base_algebra.with_duals(mu, nu)
+            conn_duals = connection_duals(master.cuts, sigma)
 
             added = 0
             for pricer in pricers:
-                cost, path, st = pricer.reprice(algebra, leg_duals)
+                cost, path, st = pricer.reprice(algebra, leg_duals,
+                                                conn_duals)
                 tally(st)
                 if path is None or cost >= -PRICING_TOL:
                     continue

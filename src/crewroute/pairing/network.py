@@ -16,8 +16,11 @@ first departure day, and any origin-destination path decodes to a feasible
 pairing, so pricing over the 7 windows with cross-window deduplication is
 exact. Only the ``z`` of an arc resource depends on the current duals: it
 is the arc's dual-free ``z`` minus the cover dual of the leg the arc enters
-(``arc_dual_legs``). Topology, state graphs and the rest of each arc
-resource are built once.
+(``arc_dual_legs``) and, on an arc that flies a short connection
+(``arc_shorts``), minus that connection's dual in the short-connection cut
+rows. A window network is acyclic, so a path flies each connection at most
+once, and its ``z`` pays every cut row once per cut connection it flies.
+Topology, state graphs and the rest of each arc resource are built once.
 """
 
 from __future__ import annotations
@@ -132,14 +135,12 @@ def arc_resources(
     inst: Instance,
     algebra: PairingAlgebra,
     leg_duals: dict[int, float],
-    cuts: tuple[frozenset, ...] = (),
 ):
-    """Arc resource list for the current duals and active cut pool."""
+    """Arc resource list for the given leg cover duals."""
     legs = {l.id: l for l in inst.legs}
     rules = inst.rules
     w = rules.weights
     f_max = rules.F_max
-    zero_cuts = (0,) * len(cuts)
 
     out = []
     for tag in net.arc_info:
@@ -149,24 +150,23 @@ def arc_resources(
             f = leg.flying_minutes
             pad = f_max - rules.flying_limit(leg.dep_time)
             z = w.w_pairing + w.w_fly * f - leg_duals.get(leg.id, 0.0)
-            out.append((one_core(1, f + pad), z, 0, 0, f, zero_cuts))
+            out.append((one_core(1, f + pad), z, 0, 0, f))
         elif kind == "d":
             out.append(algebra.neutral)
         else:
             c: Connection = tag[1]
             leg = legs[c.to_leg]
             f = leg.flying_minutes
-            counts = tuple(1 if c.key in s else 0 for s in cuts)
             if kind == "day":
                 z = w.w_fly * f - leg_duals.get(leg.id, 0.0)
-                out.append((one_core(1, f), z, 0, 0, f, counts))
+                out.append((one_core(1, f), z, 0, 0, f))
             else:
                 extra = rules.reduced_rest_extra if c.is_reduced_rest else 0
                 pad = f_max - rules.flying_limit(leg.dep_time)
                 z = (w.w_fly * f + w.w_hotel * c.midnights_crossed
                      - leg_duals.get(leg.id, 0.0))
                 core = multi_core(0, 0, 1 + extra, f + pad, 0)
-                out.append((core, z, c.midnights_crossed, 1, f, counts))
+                out.append((core, z, c.midnights_crossed, 1, f))
     return out
 
 
@@ -183,6 +183,13 @@ def arc_dual_legs(net: WindowNetwork) -> list[int | None]:
         else:
             out.append(tag[1].to_leg)
     return out
+
+
+def arc_shorts(net: WindowNetwork) -> list[tuple[int, tuple[int, int]]]:
+    """``(arc, connection key)`` for each arc that flies a short connection,
+    the connections ``decode_pairing`` records in ``shorts``."""
+    return [(aid, tag[1].key) for aid, tag in enumerate(net.arc_info)
+            if tag[0] == "day" and tag[1].kind == ConnectionKind.SHORT]
 
 
 def decode_pairing(

@@ -149,14 +149,13 @@ def random_core(rng: random.Random) -> tuple:
     )
 
 
-def random_resource(rng: random.Random, n_cuts: int = 2) -> tuple:
+def random_resource(rng: random.Random) -> tuple:
     return (
         random_core(rng),
         dyadic(rng),
         rng.randrange(0, 5),
         rng.randrange(0, 5),
         rng.randrange(0, 900, 5),
-        tuple(rng.randrange(0, 3) for _ in range(n_cuts)),
     )
 
 
@@ -173,19 +172,14 @@ def worsen(rng: random.Random, q: tuple) -> tuple:
         q[2] + rng.randrange(0, 2),
         max(0, q[3] - rng.randrange(0, 2)),
         q[4] + rng.randrange(0, 10),
-        tuple(k + rng.randrange(0, 2) for k in q[5]),
     )
 
 
-def small_pairing_algebra(rng: random.Random | None = None,
-                          n_cuts: int = 2) -> PairingAlgebra:
+def small_pairing_algebra(rng: random.Random | None = None) -> PairingAlgebra:
     if rng is None:
-        return PairingAlgebra(4, 480, 0.5, 0.5, n_cuts=n_cuts)
-    return PairingAlgebra(
-        4, 480, 0.5, 0.5, n_cuts=n_cuts,
-        mu=-dyadic(rng, 0, 512), nu=-dyadic(rng, 0, 512),
-        cut_duals=tuple(-dyadic(rng, 0, 256) for _ in range(n_cuts)),
-    )
+        return PairingAlgebra(4, 480, 0.5, 0.5)
+    return PairingAlgebra(4, 480, 0.5, 0.5, mu=-dyadic(rng, 0, 512),
+                          nu=-dyadic(rng, 0, 512))
 
 
 # ---------------------------------------------------------------------------
@@ -208,19 +202,18 @@ def random_additive_dag(rng: random.Random, capacity: int,
     return RcspGraph(n, arcs, 0, n - 1, resources)
 
 
-def random_arc_resource(rng: random.Random, n_cuts: int) -> tuple:
+def random_arc_resource(rng: random.Random) -> tuple:
     """Resource shaped like a single pricing arc, with a dyadic cost."""
-    counts = tuple(rng.randrange(0, 2) for _ in range(n_cuts))
     if rng.random() < 0.65:
         f = rng.randrange(30, 200, 5)
-        return (one_core(rng.randrange(1, 3), f), dyadic(rng), 0, 0, f, counts)
+        return (one_core(rng.randrange(1, 3), f), dyadic(rng), 0, 0, f)
     f = rng.randrange(30, 200, 5)
     nights = rng.randrange(1, 3)
-    return (multi_core(0, 0, 1, f, 0), dyadic(rng), nights, 1, f, counts)
+    return (multi_core(0, 0, 1, f, 0), dyadic(rng), nights, 1, f)
 
 
-def random_pairing_dag(rng: random.Random, n_cuts: int = 2,
-                       max_v: int = 10, max_a: int = 25) -> RcspGraph:
+def random_pairing_dag(rng: random.Random, max_v: int = 10,
+                       max_a: int = 25) -> RcspGraph:
     n = rng.randrange(4, max_v + 1)
     arcs, resources = [], []
     n_arcs = rng.randrange(n, max_a + 1)
@@ -228,7 +221,7 @@ def random_pairing_dag(rng: random.Random, n_cuts: int = 2,
         u = rng.randrange(0, n - 1)
         v = rng.randrange(u + 1, n)
         arcs.append((u, v))
-        resources.append(random_arc_resource(rng, n_cuts))
+        resources.append(random_arc_resource(rng))
     return RcspGraph(n, arcs, 0, n - 1, resources)
 
 

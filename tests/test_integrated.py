@@ -239,21 +239,30 @@ def _traced_loop(monkeypatch, inst, gamma=1.0):
 
 
 def test_loop_builds_the_networks_once(monkeypatch, overcut):
+    # networks once per loop, and each of the 7 windows' arc resources and
+    # state graph once, however many cuts the loop adds
     from crewroute.pairing import colgen
 
     built = []
-    build = colgen.build_pricing_networks
 
-    def counted(*args):
-        built.append(1)
-        return build(*args)
+    def counted(name):
+        fn = getattr(colgen, name)
 
-    monkeypatch.setattr(colgen, "build_pricing_networks", counted)
+        def wrapped(*args, **kwargs):
+            built.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(colgen, name, wrapped)
+
+    for name in ("build_pricing_networks", "arc_resources",
+                 "build_state_graph"):
+        counted(name)
     for inst in _cut_loop_weeks(overcut):
         built.clear()
         res = solve_integrated(inst, gamma=1.0)
         assert res.iterations >= 2
-        assert len(built) == 1
+        assert built.count("build_pricing_networks") == 1
+        assert built.count("arc_resources") == 7
+        assert built.count("build_state_graph") == 7
 
 
 def test_loop_calls_the_pairing_solver_once_per_iteration(monkeypatch,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,9 +28,9 @@ def _networks(inst):
     return build_pricing_networks(inst, build_connections(inst))
 
 
-def _algebra(inst, n_cuts=0):
+def _algebra(inst):
     return PairingAlgebra(inst.rules.max_legs_per_duty, inst.rules.F_max,
-                          inst.rules.alpha, inst.rules.beta, n_cuts=n_cuts)
+                          inst.rules.alpha, inst.rules.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -82,9 +83,8 @@ def test_connection_arcs_stay_inside_window():
 # arc resources
 
 
-def _resource_of(net, inst, duals, kind, ident, n_cuts=0, cuts=()):
-    alg = _algebra(inst, n_cuts)
-    res = arc_resources(net, inst, alg, duals, cuts)
+def _resource_of(net, inst, duals, kind, ident):
+    res = arc_resources(net, inst, _algebra(inst), duals)
     for aid, tag in enumerate(net.arc_info):
         if tag[0] == kind and (tag[1] == ident or
                                getattr(tag[1], "key", None) == ident):
@@ -102,7 +102,7 @@ def test_day_arc_resource():
         weights={"w_fly": 0.0, "w_hotel": 30.0, "w_pairing": 120.0},
     )
     got = _resource_of(_networks(inst)[0], inst, {1: 12.0}, "day", (0, 1))
-    assert got == (one_core(1, 90), -12.0, 0, 0, 90, ())
+    assert got == (one_core(1, 90), -12.0, 0, 0, 90)
 
 
 def test_origin_arc_charges_pairing_cost():
@@ -115,7 +115,7 @@ def test_origin_arc_charges_pairing_cost():
     )
     got = _resource_of(_networks(inst)[0], inst, {0: 12.0}, "o", 0)
     # 08:00 departures carry the full 540 limit, so no padding applies
-    assert got == (one_core(1, 90), 120.0 + 90.0 - 12.0, 0, 0, 90, ())
+    assert got == (one_core(1, 90), 120.0 + 90.0 - 12.0, 0, 0, 90)
 
 
 def test_origin_arc_pads_afternoon_limit():
@@ -143,7 +143,7 @@ def test_night_arc_reduced_rest():
     got = _resource_of(_networks(inst)[0], inst, {1: 5.0}, "night", (0, 1))
     # gap 540 < 600 reduces the rest: the next duty starts with 2 legs spent
     assert got == (multi_core(0, 0, 2, 90, 0),
-                   90.0 + 30.0 - 5.0, 1, 1, 90, ())
+                   90.0 + 30.0 - 5.0, 1, 1, 90)
 
 
 def test_night_arc_full_rest():
@@ -159,50 +159,125 @@ def test_night_arc_full_rest():
     assert got[2] == 1 and got[3] == 1
 
 
-def test_cut_counts_on_connection_arcs():
-    inst = make_instance(
-        [airport("AAA", base=True), airport("BBB", turn=30, crew=45)],
-        [
-            leg(0, "AAA", "BBB", minutes(0, 8), minutes(0, 9)),
-            leg(1, "BBB", "AAA", minutes(0, 9, 40), minutes(0, 10, 40)),
-        ],
-    )
-    cuts = (frozenset({(0, 1)}), frozenset({(9, 9)}))
-    got = _resource_of(_networks(inst)[0], inst, {}, "day", (0, 1),
-                       n_cuts=2, cuts=cuts)
-    assert got[5] == (1, 0)
+def _short_cuts(inst, conns):
+    """Two cuts that split the week's short connections between them."""
+    shorts = sorted(c.key for c in conns if c.kind == ConnectionKind.SHORT)
+    assert len(shorts) >= 2
+    return (CutRow(frozenset(shorts[::2]), 1.0),
+            CutRow(frozenset(shorts[1::2]), 1.0))
 
 
 def test_repriced_arcs_and_bounds_match_full_rebuild():
     # a pricing round moves only z: the refreshed arc resources must equal
-    # arc_resources under the same duals, and the refreshed bounds the
+    # arc_resources under the same leg duals, less each short connection's
+    # cut dual on the arcs that fly it, and the refreshed bounds the
     # full-tuple DP over them, bit for bit
     import random
 
     from crewroute.generate import generate_instance
-    from crewroute.pairing.colgen import _WindowPricer
+    from crewroute.pairing.colgen import _WindowPricer, connection_duals
     from crewroute.rcsp import compute_bounds
 
     inst = generate_instance(n_airports=4, n_bases=2, n_legs=16,
                              n_aircraft=3, seed=5)
     conns = build_connections(inst)
-    shorts = sorted(c.key for c in conns if c.kind == ConnectionKind.SHORT)
-    assert len(shorts) >= 2
-    cut_sets = (frozenset(shorts[::2]), frozenset(shorts[1::2]))
-    base = _algebra(inst, n_cuts=2)
+    cuts = _short_cuts(inst, conns)
+    base = _algebra(inst)
     rng = random.Random(4)
     for net in build_pricing_networks(inst, conns):
-        pricer = _WindowPricer(net, inst, base, cut_sets, 2)
+        pricer = _WindowPricer(net, inst, base, 2)
         for _ in range(3):
             duals = {l.id: rng.randrange(-4096, 4096) / 16.0
                      for l in inst.legs if rng.random() < 0.8}
-            alg = base.with_duals(-rng.random(), -rng.random(),
-                                  (-rng.random(), 0.0))
-            pricer.reprice(alg, duals)
-            want = arc_resources(net, inst, alg, duals, cut_sets)
+            alg = base.with_duals(-rng.random(), -rng.random())
+            conn_duals = connection_duals(cuts, (-rng.random(), 0.0))
+            pricer.reprice(alg, duals, conn_duals)
+            want = arc_resources(net, inst, alg, duals)
+            for aid, tag in enumerate(net.arc_info):
+                if tag[0] == "day" and tag[1].key in conn_duals:
+                    want[aid] = alg.with_scalar(
+                        want[aid], want[aid][1] - conn_duals[tag[1].key])
             assert repr(net.graph.resources) == repr(want)
             full = compute_bounds(pricer.state_graph, alg)
             assert repr(pricer.state_graph.bounds) == repr(full)
+
+
+def test_folded_cut_duals_price_the_master_reduced_cost():
+    # every path of every window costs the master's reduced cost of the
+    # pairing it decodes to, under duals with the <= rows clamped as the
+    # pricer clamps them: cover duals on the legs, cut duals on the arcs of
+    # the cut's short connections and nowhere else. The third cut holds
+    # only connections the master does not count.
+    import random
+
+    from crewroute.generate import generate_instance
+    from crewroute.pairing.colgen import _WindowPricer, connection_duals
+    from crewroute.rcsp import solve
+
+    inst = generate_instance(n_airports=4, n_bases=2, n_legs=16,
+                             n_aircraft=3, seed=5)
+    conns = build_connections(inst)
+    others = frozenset(c.key for c in conns if c.kind in (
+        ConnectionKind.DAY_CREW, ConnectionKind.NIGHT_CREW))
+    assert others
+    cuts = _short_cuts(inst, conns) + (CutRow(others, 1.0),)
+    master = MasterProblem(inst, cuts)
+    base = _algebra(inst)
+    pricers = [_WindowPricer(net, inst, base, 2)
+               for net in build_pricing_networks(inst, conns)]
+    le_rows = [master.alpha_row, master.beta_row] + master.cut_rows
+    rng = random.Random(11)
+    n_paths = 0
+    for trial in range(4):
+        duals = np.array([rng.uniform(-300.0, 300.0)
+                          for _ in range(master.lp.n_rows)])
+        # one positive cut dual at least, for the clamp to act on
+        duals[master.cut_rows[trial % 2]] = rng.uniform(1.0, 50.0)
+        legs, mu, nu, sigma = master.duals_of(duals)
+        alg = base.with_duals(mu, nu)
+        conn_duals = connection_duals(master.cuts, sigma)
+        clamped = duals.copy()
+        clamped[le_rows] = np.minimum(clamped[le_rows], 0.0)
+        for pricer in pricers:
+            pricer.reprice(alg, legs, conn_duals)
+            entries, st = pricer.enumerate(math.inf, 100_000)
+            assert not st.truncated
+            costs = []
+            for path, _q, cost in entries:
+                col = decode_pairing(pricer.net, inst, path)
+                rc = master.reduced_cost(col, clamped)
+                assert cost == pytest.approx(rc, rel=1e-9, abs=1e-9)
+                costs.append(cost)
+            n_paths += len(costs)
+            best, _, _ = solve(pricer.state_graph, alg)
+            assert best == min(costs, default=math.inf)
+    assert n_paths > 0
+
+
+def test_session_rejects_cuts_on_connections_the_master_does_not_count():
+    # the master counts a pairing's short connections only: a cut that
+    # also holds day-crew connections is an input error, at open and when
+    # added, and the session keeps its cuts
+    from crewroute.generate import generate_instance
+    from crewroute.pairing import PairingSession
+
+    inst = generate_instance(n_airports=4, n_bases=2, n_legs=24,
+                             n_aircraft=3, seed=0, rules_overrides={"T": 2})
+    conns = build_connections(inst)
+    uncut = solve_crew_pairing(inst, conns)
+    shorts = frozenset(k for p in uncut.pairings for k in p.shorts)
+    assert shorts
+    day_crew = frozenset(c.key for c in conns
+                         if c.kind == ConnectionKind.DAY_CREW)
+    cut = CutRow(shorts | day_crew, len(shorts) - 1)
+    first = str(min(day_crew))
+    with pytest.raises(ValueError, match=re.escape(first)):
+        solve_crew_pairing(inst, conns, cuts=(cut,))
+    session = PairingSession(inst, conns)
+    with pytest.raises(ValueError, match=re.escape(first)):
+        session.add_cut(cut)
+    assert session.cuts == ()
+    assert session.master.cut_rows == []
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,8 @@ def _alg(**kw) -> PairingAlgebra:
     return PairingAlgebra(**args)
 
 
-def _q(core, z=0.0, nights=0, rests=0, fly=0, cuts=()):
-    return (core, z, nights, rests, fly, cuts)
+def _q(core, z=0.0, nights=0, rests=0, fly=0):
+    return (core, z, nights, rests, fly)
 
 
 # ---------------------------------------------------------------------------
@@ -88,17 +88,17 @@ def test_open_duty_closes_into_multi():
 
 
 def test_counters_add():
-    alg = _alg(n_cuts=2)
-    q1 = (one_core(1, 60), 1.5, 1, 1, 60, (1, 0))
-    q2 = (one_core(1, 30), 2.5, 2, 1, 30, (0, 2))
-    assert alg.combine(q1, q2) == (one_core(2, 90), 4.0, 3, 2, 90, (1, 2))
+    alg = _alg()
+    q1 = (one_core(1, 60), 1.5, 1, 1, 60)
+    q2 = (one_core(1, 30), 2.5, 2, 1, 30)
+    assert alg.combine(q1, q2) == (one_core(2, 90), 4.0, 3, 2, 90)
 
 
 def test_neutral_identity_examples():
-    alg = _alg(n_cuts=1)
+    alg = _alg()
     e = alg.neutral
-    assert e == (one_core(0, 0), 0.0, 0, 0, 0, (0,))
-    q = (multi_core(1, 10, 2, 20, 1), 5.0, 2, 1, 30, (2,))
+    assert e == (one_core(0, 0), 0.0, 0, 0, 0)
+    q = (multi_core(1, 10, 2, 20, 1), 5.0, 2, 1, 30)
     assert alg.combine(e, q) == q
     assert alg.combine(q, e) == q
 
@@ -161,26 +161,16 @@ def test_cost_counts_long_duties_everywhere():
     assert alg.cost(q) == pytest.approx(4.0)
 
 
-def test_cost_cut_duals():
-    alg = _alg(n_cuts=2, cut_duals=(-2.0, -0.5))
-    q = (one_core(1, 10), 0.0, 0, 0, 10, (2, 1))
-    assert alg.cost(q) == pytest.approx(4.0 + 0.5)
-
-
 def test_duals_clamped_non_positive():
-    alg = PairingAlgebra(4, 480, 0.5, 0.5, n_cuts=2,
-                         mu=5.0, nu=3.0, cut_duals=(1.0, -2.0))
+    alg = PairingAlgebra(4, 480, 0.5, 0.5, mu=5.0, nu=3.0)
     assert alg.mu == 0.0 and alg.nu == 0.0
-    assert alg.cut_duals == (0.0, -2.0)
-    with pytest.raises(ValueError, match="length mismatch"):
-        PairingAlgebra(4, 480, 0.5, 0.5, n_cuts=2, cut_duals=(1.0,))
 
 
 def test_with_duals_rebinds_only_prices():
-    alg = _alg(n_cuts=1)
-    alg2 = alg.with_duals(mu=-2.0, nu=-1.0, cut_duals=(-3.0,))
+    alg = _alg()
+    alg2 = alg.with_duals(mu=-2.0, nu=-1.0)
     assert (alg2.max_duty_legs, alg2.f_max) == (4, 480)
-    assert (alg2.mu, alg2.nu, alg2.cut_duals) == (-2.0, -1.0, (-3.0,))
+    assert (alg2.mu, alg2.nu) == (-2.0, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +209,13 @@ _RESOURCES = st.tuples(
     st.integers(0, 4),
     st.integers(0, 4),
     st.integers(0, 900),
-    st.tuples(st.integers(0, 2), st.integers(0, 2)),
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(_RESOURCES, _RESOURCES, _RESOURCES)
 def test_lattice_monoid_laws(q1, q2, q3):
-    alg = PairingAlgebra(4, 60, 0.5, 0.5, n_cuts=2,
-                         mu=-3.25, nu=-1.5, cut_duals=(-2.0, -0.5))
+    alg = PairingAlgebra(4, 60, 0.5, 0.5, mu=-3.25, nu=-1.5)
     check_laws(alg, q1, q2, q3)
 
 
@@ -288,23 +276,21 @@ def _off_grid(rng, q):
 
 def test_completion_cost_matches_reference_bit_for_bit():
     # the fused loop must return the reference's float exactly: cores of
-    # every type (BOT, TOP, overflowing ones), cut counts, empty bound lists,
+    # every type (BOT, TOP, overflowing ones), empty bound lists,
     # and duals and costs off the dyadic grid, where any change in the order
     # of the float operations would show in the last bits
     rng = random.Random(31)
     for trial in range(300):
-        n_cuts = rng.choice((0, 1, 2, 3))
         if trial % 3:
-            alg = small_pairing_algebra(rng, n_cuts=n_cuts)
+            alg = small_pairing_algebra(rng)
         else:
-            alg = PairingAlgebra(
-                4, 480, rng.random(), rng.random(), n_cuts=n_cuts,
-                mu=-rng.uniform(0, 50), nu=-rng.uniform(0, 50),
-                cut_duals=tuple(-rng.uniform(0, 20) for _ in range(n_cuts)))
-        bounds = [random_resource(rng, n_cuts) for _ in range(60)]
+            alg = PairingAlgebra(4, 480, rng.random(), rng.random(),
+                                 mu=-rng.uniform(0, 50),
+                                 nu=-rng.uniform(0, 50))
+        bounds = [random_resource(rng) for _ in range(60)]
         bounds += [_off_grid(rng, q) for q in bounds[:30]]
         for _ in range(10):
-            q = random_resource(rng, n_cuts)
+            q = random_resource(rng)
             if rng.random() < 0.5:
                 q = _off_grid(rng, q)
             for k in (0, 1, 2, rng.randrange(3, 61)):
@@ -322,13 +308,12 @@ def test_completion_cost_matches_reference_bit_for_bit():
 def test_build_kernels_match_reference_bit_for_bit():
     # candidate keys and the meet of a cluster's combines, fused, against
     # the combine-per-candidate references: BOT, TOP and MULTI cores on
-    # both sides, cut counts, z off the dyadic grid, runs of one arc
+    # both sides, z off the dyadic grid, runs of one arc
     rng = random.Random(43)
     for _ in range(300):
-        n_cuts = rng.choice((0, 1, 3))
-        alg = small_pairing_algebra(rng, n_cuts=n_cuts)
-        resources = [random_resource(rng, n_cuts) for _ in range(8)]
-        bounds = [random_resource(rng, n_cuts) for _ in range(12)]
+        alg = small_pairing_algebra(rng)
+        resources = [random_resource(rng) for _ in range(8)]
+        bounds = [random_resource(rng) for _ in range(12)]
         resources += [_off_grid(rng, q) for q in resources[:4]]
         bounds += [_off_grid(rng, q) for q in bounds[:6]]
         for k in (1, 2, rng.randrange(3, 40)):
@@ -365,9 +350,8 @@ def test_ordered_scan_matches_reference_after_update_bounds():
         built = [list(states) for states in sg.states_of]
         for _ in range(3):
             alg = small_pairing_algebra(rng) if trial % 2 else PairingAlgebra(
-                4, 480, rng.random(), rng.random(), n_cuts=2,
-                mu=-rng.uniform(0, 50), nu=-rng.uniform(0, 50),
-                cut_duals=(-rng.uniform(0, 20), -rng.uniform(0, 20)))
+                4, 480, rng.random(), rng.random(),
+                mu=-rng.uniform(0, 50), nu=-rng.uniform(0, 50))
             z = [dyadic(rng) for _ in g.arcs]
             update_bounds(sg, z, alg)
             assert sg.ordered_for is alg
@@ -388,28 +372,25 @@ def test_ordered_scan_matches_reference_after_update_bounds():
 
 
 def test_ordered_scan_edge_cases():
-    alg = _alg(n_cuts=1, mu=-3.0, nu=-2.0, cut_duals=(-1.5,))
+    alg = _alg(mu=-3.0, nu=-2.0)
     ok = one_core(1, 60)
     # duals that reverse the build order: z falls along the list, so the
     # floor order is the list reversed and the cheapest state comes last
-    bounds = [_q(ok, z=10.0 - i, rests=1, cuts=(0,)) for i in range(8)]
-    assert _scan_agrees(alg, _q(ok, cuts=(1,)), bounds, range(8)) == \
-        alg.cost(alg.combine(_q(ok, cuts=(1,)), bounds[7]))
+    bounds = [_q(ok, z=10.0 - i, rests=1) for i in range(8)]
+    assert _scan_agrees(alg, _q(ok), bounds, range(8)) == \
+        alg.cost(alg.combine(_q(ok), bounds[7]))
     # a BOT label against a TOP bound has a finite cost, and the TOP bound
     # with the lowest floor must not be skipped
-    bounds = [_q(TOP, z=-5.0, cuts=(0,)), _q(ok, z=4.0, cuts=(0,)),
-              _q(TOP, z=9.0, cuts=(2,))]
-    got = _scan_agrees(alg, _q(BOT, z=1.0, cuts=(0,)), bounds, range(3))
-    assert got == alg.cost(alg.combine(_q(BOT, z=1.0, cuts=(0,)),
-                                       bounds[0]))
+    bounds = [_q(TOP, z=-5.0), _q(ok, z=4.0), _q(TOP, z=9.0)]
+    got = _scan_agrees(alg, _q(BOT, z=1.0), bounds, range(3))
+    assert got == alg.cost(alg.combine(_q(BOT, z=1.0), bounds[0]))
     assert math.isfinite(got)
     # floors within the margin of the best: states an ulp or a rounding
-    # apart, where only the extra terms (long duties, cuts, nights) differ
+    # apart, where only the extra terms (long duties, nights) differ
     rng = random.Random(53)
     for _ in range(200):
-        alg = PairingAlgebra(4, 480, rng.random(), rng.random(), n_cuts=1,
-                             mu=-rng.uniform(0, 5), nu=-rng.uniform(0, 5),
-                             cut_duals=(-rng.uniform(0, 1e-9),))
+        alg = PairingAlgebra(4, 480, rng.random(), rng.random(),
+                             mu=-rng.uniform(0, 5), nu=-rng.uniform(0, 5))
         z0 = rng.uniform(-100.0, 100.0)
         bounds = []
         for _ in range(12):
@@ -418,8 +399,7 @@ def test_ordered_scan_edge_cases():
                 z = math.nextafter(z, rng.choice((-math.inf, math.inf)))
             core = rng.choice((ok, multi_core(1, 60, 4, 60, 0), BOT, TOP))
             bounds.append(_q(core, z=z, nights=rng.randrange(0, 4),
-                             rests=rng.randrange(0, 2),
-                             cuts=(rng.randrange(0, 2),)))
+                             rests=rng.randrange(0, 2)))
         q = _q(rng.choice((ok, BOT)), z=rng.uniform(-100.0, 100.0),
-               rests=rng.randrange(0, 3), cuts=(rng.randrange(0, 2),))
+               rests=rng.randrange(0, 3))
         _scan_agrees(alg, q, bounds, range(len(bounds)))

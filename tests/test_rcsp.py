@@ -499,18 +499,31 @@ class _ReferenceBuild(PairingAlgebra):
 def _window_builds(kappa, n_cuts):
     from crewroute.generate import generate_instance
     from crewroute.instance import ConnectionKind, build_connections
-    from crewroute.pairing.network import arc_resources, build_pricing_networks
+    from crewroute.pairing.colgen import connection_duals
+    from crewroute.pairing.master import CutRow
+    from crewroute.pairing.network import (
+        arc_resources, arc_shorts, build_pricing_networks)
 
     inst = generate_instance(6, 2, 60, 6, 7)
     rules = inst.rules
     args = (rules.max_legs_per_duty, rules.F_max, rules.alpha, rules.beta)
-    fused = PairingAlgebra(*args, n_cuts=n_cuts)
-    ref = _ReferenceBuild(*args, n_cuts=n_cuts)
+    fused = PairingAlgebra(*args)
+    ref = _ReferenceBuild(*args)
     conns = build_connections(inst)
+    # n_cuts cuts over the short connections, their duals folded into the
+    # z of the short-connection arcs as the pricer does
     shorts = sorted(c.key for c in conns if c.kind == ConnectionKind.SHORT)
-    cut_sets = tuple(frozenset(shorts[i::n_cuts]) for i in range(n_cuts))
+    cuts = tuple(CutRow(frozenset(shorts[i::n_cuts]), 0.0)
+                 for i in range(n_cuts))
+    conn_duals = connection_duals(cuts, [-7.5 * (i + 1)
+                                         for i in range(n_cuts)])
     for net in build_pricing_networks(inst, conns):
-        net.graph.resources = arc_resources(net, inst, fused, {}, cut_sets)
+        res = arc_resources(net, inst, fused, {})
+        for aid, key in arc_shorts(net):
+            if key in conn_duals:
+                res[aid] = fused.with_scalar(
+                    res[aid], fused.scalar(res[aid]) - conn_duals[key])
+        net.graph.resources = res
         yield (_state_graph(net.graph, fused, kappa),
                build_state_graph(net.graph, ref, kappa))
 
@@ -520,7 +533,8 @@ def _window_builds(kappa, n_cuts):
 def test_fused_build_matches_reference_build(kappa, n_cuts):
     # keys without combines, run-sliced passes and one meet of combines
     # per cluster leave the state graph of the reference build, float for
-    # float; _state_graph also checks the bounds against compute_bounds
+    # float, with and without cut duals on the short-connection arcs;
+    # _state_graph also checks the bounds against compute_bounds
     for sg, want in _window_builds(kappa, n_cuts):
         assert sg.states_of == want.states_of
         assert sg.state_arcs == want.state_arcs
