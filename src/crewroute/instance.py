@@ -138,6 +138,13 @@ class Instance:
     def airport(self, code: str) -> Airport:
         return self._airport_index[code]
 
+    @functools.cached_property
+    def _leg_index(self) -> dict[int, FlightLeg]:
+        return {l.id: l for l in self.legs}
+
+    def leg(self, leg_id: int) -> FlightLeg:
+        return self._leg_index[leg_id]
+
     @property
     def bases(self) -> tuple[Airport, ...]:
         return tuple(a for a in self.airports if a.is_base)

@@ -15,7 +15,15 @@ its own cut, which is asserted each iteration.
 
 All iterations share one ``PairingSession``, so each cut is added to the
 networks, column pool and master basis of the previous iteration, and
-pairing resumes from there instead of starting over.
+pairing resumes from there instead of starting over. They share one
+``RoutingSession`` too: the routing graph and arc-flow model are built
+once, and each forced solve only appends its forcing rows.
+
+The first time routing rejects a non-empty S, the loop routes once more
+with nothing forced. If the fleet cannot fly the week at all, no crew plan
+can ever be routed, whatever the cuts: the loop stops there with a proof of
+infeasibility at any gamma. That unforced solve's root basis also starts
+every later forced solve.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass, field
 
 from .instance import Connection, Instance, build_connections
 from .pairing import CutRow, PairingResult, PairingSession, solve_crew_pairing
-from .routing import RoutingResult, solve_routing
+from .routing import RoutingResult, RoutingSession, solve_routing
 
 
 @dataclass
@@ -131,9 +139,12 @@ def solve_integrated(
             short_connections=len(short_connections_of(cp)) if cp else 0,
         )
 
-    # One pairing session for the whole loop: each iteration adds its cut
-    # to the same networks, pool and basis and re-solves from there.
+    # One pairing and one routing session for the whole loop: each
+    # iteration adds its cut to the same networks, pool and basis, forces
+    # its S on the same routing model, and re-solves from there.
     session = PairingSession(inst, connections, kappa=kappa)
+    routing = RoutingSession(inst, connections, inst.rules.n_a)
+    fleet_checked = False
     for it in range(1, iteration_limit + 1):
         cp = solve_crew_pairing(
             inst, connections, cuts=tuple(cuts), kappa=kappa,
@@ -165,7 +176,7 @@ def solve_integrated(
         s = short_connections_of(cp)
         entry["n_short_used"] = len(s)
         ar = solve_routing(inst, connections, forced=sorted(s),
-                           node_limit=node_limit)
+                           node_limit=node_limit, session=routing)
         entry["ar_status"] = ar.status
         if ar.status == "optimal":
             log.append(entry)
@@ -180,6 +191,16 @@ def solve_integrated(
         if not s:
             log.append(entry)
             return result("infeasible", cp, ar, proven=True)
+        # The first rejection checks the fleet alone: with nothing forced
+        # an infeasible routing is that same proof, and no cut can help.
+        # A node-limit result proves nothing, so the loop just cuts.
+        if not fleet_checked:
+            fleet_checked = True
+            unforced = solve_routing(inst, connections, forced=[],
+                                     node_limit=node_limit, session=routing)
+            if unforced.status == "infeasible":
+                log.append(entry)
+                return result("infeasible", cp, unforced, proven=True)
         if s in seen:
             raise RuntimeError("cut failed to exclude its own support set")
         seen.add(s)

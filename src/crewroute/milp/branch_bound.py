@@ -8,7 +8,9 @@ same information into a best bound plus gap instead of a wrong answer.
 
 Every node carries its parent's optimal basis: a child differs from its
 parent by one fixed binary, so its LP resumes from that basis with a few
-dual simplex pivots instead of a cold crash-started solve.
+dual simplex pivots instead of a cold crash-started solve. The root's
+optimal basis is returned too, so a caller that appends rows to the model
+can start its next solve from it.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ def solve_mip(
         (-math.inf, seq, {}, start)
     ]
     nodes = 0
+    root_basis: Basis | None = None
     binaries = [j for j in range(lp.n_vars) if lp.binary[j]]
 
     while heap:
@@ -47,9 +50,8 @@ def solve_mip(
             break
         if nodes >= node_limit:
             best_bound = min(bound, incumbent_obj)
-            return MipResult(
-                MipStatus.NODE_LIMIT, incumbent_x, incumbent_obj, best_bound, nodes
-            )
+            return MipResult(MipStatus.NODE_LIMIT, incumbent_x, incumbent_obj,
+                             best_bound, nodes, root_basis)
         nodes += 1
         sol = solve_lp(lp, bound_overrides=fixes, start=basis)
         if sol.status == LpStatus.INFEASIBLE:
@@ -58,6 +60,8 @@ def solve_mip(
             raise ValueError("relaxation is unbounded; model is malformed")
         if sol.status != LpStatus.OPTIMAL:
             raise RuntimeError("LP numeric failure during branch and bound")
+        if nodes == 1:
+            root_basis = sol.basis
         if sol.objective >= incumbent_obj - PRUNE_EPS:
             continue
 
@@ -86,5 +90,7 @@ def solve_mip(
             heapq.heappush(heap, (sol.objective, seq, child, sol.basis))
 
     if incumbent_x is None:
-        return MipResult(MipStatus.INFEASIBLE, None, math.inf, math.inf, nodes)
-    return MipResult(MipStatus.OPTIMAL, incumbent_x, incumbent_obj, incumbent_obj, nodes)
+        return MipResult(MipStatus.INFEASIBLE, None, math.inf, math.inf, nodes,
+                         root_basis)
+    return MipResult(MipStatus.OPTIMAL, incumbent_x, incumbent_obj,
+                     incumbent_obj, nodes, root_basis)

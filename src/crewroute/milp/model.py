@@ -117,6 +117,18 @@ class LinearProgram:
         self.rhs.append(float(rhs))
         return i
 
+    def truncate_rows(self, n_rows: int) -> None:
+        """Delete every row from ``n_rows`` on, undoing the ``add_row`` calls
+        that appended them."""
+        if not 0 <= n_rows <= self.n_rows:
+            raise ValueError(f"cannot keep {n_rows} of {self.n_rows} rows")
+        for rows, vals in self.columns:
+            while rows and rows[-1] >= n_rows:
+                rows.pop()
+                vals.pop()
+        del self.relations[n_rows:]
+        del self.rhs[n_rows:]
+
     def dense_matrix(self) -> np.ndarray:
         a = np.zeros((self.n_rows, self.n_vars))
         for j, (rows, vals) in enumerate(self.columns):
@@ -160,11 +172,15 @@ class LpSolution:
 
 @dataclass
 class MipResult:
+    """A branch and bound outcome; ``root_basis`` is the root LP's optimal
+    basis, None when the root LP was not solved to optimality."""
+
     status: MipStatus
     x: np.ndarray | None
     objective: float
     best_bound: float
     nodes: int
+    root_basis: Basis | None = None
 
     @property
     def gap(self) -> float:

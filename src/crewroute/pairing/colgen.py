@@ -47,6 +47,7 @@ from .network import (
     arc_shorts,
     build_pricing_networks,
     decode_pairing,
+    path_legs,
 )
 
 PRICING_TOL = 1e-6
@@ -256,11 +257,10 @@ class PairingSession:
                 cost, path, st = pricer.reprice(algebra, leg_duals,
                                                 conn_duals)
                 tally(st)
-                if path is None or cost >= -PRICING_TOL:
+                if (path is None or cost >= -PRICING_TOL
+                        or master.has_column(path_legs(pricer.net, path))):
                     continue
                 col = decode_pairing(pricer.net, inst, path)
-                if master.has_column(col):
-                    continue
                 check_column(col, cost, lp_sol.duals)
                 master.add_column(col)
                 added += 1
@@ -309,9 +309,9 @@ class PairingSession:
             tally(st)
             truncated = truncated or st.truncated
             for path, _q, cost in entries:
-                col = decode_pairing(pricer.net, inst, path)
-                if master.has_column(col):
+                if master.has_column(path_legs(pricer.net, path)):
                     continue
+                col = decode_pairing(pricer.net, inst, path)
                 check_column(col, cost, final_duals)
                 master.add_column(col)
                 stats["columns_completion"] += 1

@@ -77,8 +77,9 @@ class MasterProblem:
         self.cut_rows.append(row)
         return row
 
-    def has_column(self, col: PairingColumn) -> bool:
-        return col.legs in self._seen
+    def has_column(self, legs: tuple[int, ...]) -> bool:
+        """Whether the pool holds the pairing that flies ``legs``."""
+        return legs in self._seen
 
     def add_column(self, col: PairingColumn) -> int:
         if col.legs in self._seen:

@@ -170,19 +170,27 @@ def arc_resources(
     return out
 
 
+def _entered_leg(tag: tuple) -> int | None:
+    """The leg an arc enters, None on arcs into the destination."""
+    kind = tag[0]
+    if kind == "o":
+        return tag[1]
+    if kind == "d":
+        return None
+    return tag[1].to_leg
+
+
 def arc_dual_legs(net: WindowNetwork) -> list[int | None]:
     """The leg whose cover dual each arc's ``z`` pays, None on arcs into the
     destination."""
-    out: list[int | None] = []
-    for tag in net.arc_info:
-        kind = tag[0]
-        if kind == "o":
-            out.append(tag[1])
-        elif kind == "d":
-            out.append(None)
-        else:
-            out.append(tag[1].to_leg)
-    return out
+    return [_entered_leg(tag) for tag in net.arc_info]
+
+
+def path_legs(net: WindowNetwork, arc_path: tuple[int, ...]) -> tuple[int, ...]:
+    """The legs an origin-destination arc path flies, in order: the
+    ``legs`` of its decoded pairing, read without decoding it."""
+    legs = (_entered_leg(net.arc_info[aid]) for aid in arc_path)
+    return tuple(leg for leg in legs if leg is not None)
 
 
 def arc_shorts(net: WindowNetwork) -> list[tuple[int, tuple[int, int]]]:
@@ -202,10 +210,9 @@ def decode_pairing(
     the algebra arithmetic at the column level.
     """
     rules = inst.rules
-    legs = {l.id: l for l in inst.legs}
     w = rules.weights
 
-    path_legs: list[int] = []
+    legs = path_legs(net, arc_path)
     duties: list[list[int]] = []
     counters: list[int] = []
     nights = 0
@@ -214,28 +221,25 @@ def decode_pairing(
         tag = net.arc_info[aid]
         kind = tag[0]
         if kind == "o":
-            path_legs.append(tag[1])
             duties.append([tag[1]])
             counters.append(1)
         elif kind == "day":
             c: Connection = tag[1]
-            path_legs.append(c.to_leg)
             duties[-1].append(c.to_leg)
             counters[-1] += 1
             if c.kind == ConnectionKind.SHORT:
                 shorts.append(c.key)
         elif kind == "night":
             c = tag[1]
-            path_legs.append(c.to_leg)
             nights += c.midnights_crossed
             extra = rules.reduced_rest_extra if c.is_reduced_rest else 0
             duties.append([c.to_leg])
             counters.append(1 + extra)
-    fly_total = sum(legs[i].flying_minutes for i in path_legs)
+    fly_total = sum(inst.leg(i).flying_minutes for i in legs)
     cost = w.w_pairing + w.w_fly * fly_total + w.w_hotel * nights
     n_long = sum(1 for k in counters if k > LONG_DUTY_LEGS)
     return PairingColumn(
-        legs=tuple(path_legs),
+        legs=legs,
         cost=cost,
         nights=nights,
         duties=tuple(tuple(d) for d in duties),

@@ -14,6 +14,14 @@ Monday-midnight instant equals, summed over a route, the number of weeks
 the route takes, and one aircraft is needed per week of route span. The
 fleet budget row caps that sum; forcing rows require chosen connections to
 be flown, which is how crew-side short connections are imposed.
+
+A ``RoutingSession`` builds the graph and the model without forcing rows
+once per week and budget. Each solve appends its forcing rows, runs the
+MIP and deletes the rows again. The root LP basis of the session's last
+unforced solve, with the slacks of the forcing rows added, starts every
+later forced solve, so the integrated loop re-solves one model instead of
+rebuilding it. ``solve_routing`` without a session, and
+``minimize_aircraft``, open a throwaway session and solve cold.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from .instance import (
     Instance,
     build_connections,
 )
-from .milp import MipStatus, solve_mip
+from .milp import Basis, MipStatus, solve_mip
 from .milp.model import LinearProgram
 
 
@@ -132,6 +140,18 @@ def build_ar_model(
                  for i, a in enumerate(graph.arcs) if a.crossings}
         lp.add_row(coefs, "<=", float(budget))
 
+    _add_forcing_rows(lp, graph, x, forced)
+    return lp, x
+
+
+def _add_forcing_rows(
+    lp: LinearProgram,
+    graph: RoutingGraph,
+    x: list[int],
+    forced: list[tuple[int, int]],
+) -> None:
+    """Append one row per forced connection key: its arcs are flown at
+    least once."""
     for key in forced:
         if key not in graph.conn_keys:
             raise ValueError(f"forced connection {key} does not exist")
@@ -139,7 +159,6 @@ def build_ar_model(
         # yields an unsatisfiable row, i.e. a proof of infeasibility.
         coefs = {x[i]: 1.0 for i in graph.arcs_of_conn.get(key, [])}
         lp.add_row(coefs, ">=", 1.0)
-    return lp, x
 
 
 @dataclass
@@ -220,51 +239,84 @@ def _structural_gaps(graph: RoutingGraph) -> list[int]:
     return sorted(set(bad))
 
 
+class RoutingSession:
+    """The routing graph and arc-flow model of one week under one budget,
+    kept across solves that force different connections.
+
+    ``budget=None`` builds the model without a budget row.
+    """
+
+    def __init__(self, inst: Instance,
+                 connections: list[Connection] | None = None,
+                 budget: int | None = None):
+        self.inst = inst
+        self.budget = budget
+        self.graph = build_routing_graph(inst, connections)
+        self.gaps = _structural_gaps(self.graph)
+        self.lp: LinearProgram | None = None
+        self.x: list[int] = []
+        if not self.gaps:
+            self.lp, self.x = build_ar_model(self.graph, budget, [])
+        # Root LP basis of the last unforced solve, the start of forced ones.
+        self.basis: Basis | None = None
+
+    def solve(self, forced=(), node_limit: int = 200_000) -> RoutingResult:
+        """Route the week with every connection key in ``forced`` flown."""
+        forced_keys = sorted({tuple(k) for k in forced})
+        if self.gaps:
+            return RoutingResult(status="infeasible", n_aircraft=None,
+                                 routes=[], forced=forced_keys,
+                                 uncoverable_legs=self.gaps)
+
+        lp = self.lp
+        n_rows = lp.n_rows
+        try:
+            _add_forcing_rows(lp, self.graph, self.x, forced_keys)
+            start = self.basis
+            if start is not None:
+                for row in range(n_rows, lp.n_rows):
+                    start = start.with_slack(row)
+            mip = solve_mip(lp, node_limit=node_limit, start=start)
+        finally:
+            lp.truncate_rows(n_rows)
+        if not forced_keys:
+            self.basis = mip.root_basis
+
+        if mip.status == MipStatus.NODE_LIMIT:
+            return RoutingResult(status="limit", n_aircraft=None, routes=[],
+                                 forced=forced_keys, nodes=mip.nodes)
+        if mip.status == MipStatus.INFEASIBLE:
+            return RoutingResult(status="infeasible", n_aircraft=None,
+                                 routes=[], forced=forced_keys,
+                                 nodes=mip.nodes)
+        routes = _extract_routes(self.graph, mip.x)
+        n_air = sum(r.week_span for r in routes)
+        return RoutingResult(status="optimal", n_aircraft=n_air,
+                             routes=routes, forced=forced_keys,
+                             nodes=mip.nodes)
+
+
 def solve_routing(
     inst: Instance,
     connections: list[Connection] | None = None,
     forced=None,
     budget: int | None = None,
     node_limit: int = 200_000,
+    session: RoutingSession | None = None,
 ) -> RoutingResult:
     """Minimum-aircraft maintenance routing under a fleet budget.
 
-    ``budget=None`` means the instance's fleet size.
+    ``budget=None`` means the instance's fleet size. ``session`` re-solves
+    an open session of ``inst`` under the same budget; without one, a
+    throwaway session is opened.
     """
     if budget is None:
         budget = inst.rules.n_a
-    return _solve(inst, connections, forced, budget, node_limit)
-
-
-def _solve(
-    inst: Instance,
-    connections: list[Connection] | None,
-    forced,
-    budget: int | None,
-    node_limit: int,
-) -> RoutingResult:
-    """The routing solve; ``budget=None`` builds the model without a budget
-    row."""
-    forced_keys = sorted({tuple(k) for k in forced or ()})
-    graph = build_routing_graph(inst, connections)
-
-    gaps = _structural_gaps(graph)
-    if gaps:
-        return RoutingResult(status="infeasible", n_aircraft=None, routes=[],
-                             forced=forced_keys, uncoverable_legs=gaps)
-
-    lp, x = build_ar_model(graph, budget, forced_keys)
-    mip = solve_mip(lp, node_limit=node_limit)
-    if mip.status == MipStatus.NODE_LIMIT:
-        return RoutingResult(status="limit", n_aircraft=None, routes=[],
-                             forced=forced_keys, nodes=mip.nodes)
-    if mip.status == MipStatus.INFEASIBLE:
-        return RoutingResult(status="infeasible", n_aircraft=None, routes=[],
-                             forced=forced_keys, nodes=mip.nodes)
-    routes = _extract_routes(graph, mip.x)
-    n_air = sum(r.week_span for r in routes)
-    return RoutingResult(status="optimal", n_aircraft=n_air, routes=routes,
-                         forced=forced_keys, nodes=mip.nodes)
+    if session is None:
+        session = RoutingSession(inst, connections, budget)
+    elif session.inst is not inst or session.budget != budget:
+        raise ValueError("session belongs to another instance or budget")
+    return session.solve(forced or (), node_limit)
 
 
 def minimize_aircraft(
@@ -273,4 +325,4 @@ def minimize_aircraft(
     node_limit: int = 200_000,
 ) -> RoutingResult:
     """Fewest aircraft that can fly the whole schedule, no budget row."""
-    return _solve(inst, connections, None, None, node_limit)
+    return RoutingSession(inst, connections, None).solve((), node_limit)

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from crewroute.generate import generate_instance
 from crewroute.instance import DAY_MINUTES, Instance, instance_from_dict
 from crewroute.pairing.algebra import (
     BOT,
@@ -115,9 +116,9 @@ def overcut() -> Instance:
     """Both crew covers of these four legs need a short connection.
 
     The unique crew partition is {[0, 2], [3, 1]}; both pairings sit on a
-    ground time inside the short band, while one aircraft can only fly the
-    interleaving [0, 1] / [3, 2] rotations. Relaxed cuts (gamma < 1) then
-    loop until the support set repeats, and gamma = 1 proves infeasibility.
+    ground time inside the short band. One aircraft cannot fly this week at
+    all, even with nothing forced: routing its four legs takes two. The
+    integrated loop proves it infeasible in one iteration at any gamma.
     """
     return make_instance(
         [airport("AAA", base=True), airport("BBB", turn=30, crew=45)],
@@ -129,6 +130,16 @@ def overcut() -> Instance:
         ],
         n_a=1,
     )
+
+
+@pytest.fixture(scope="module")
+def looping_week() -> Instance:
+    """A 24-leg week (seed 5, 2-day maintenance interval) whose fleet can fly
+    it, but not with the short connections crew pairing keeps choosing: the
+    gamma = 1 loop adds five cuts before the crew side proves it infeasible,
+    and gamma = 0.5 over-cuts in three iterations."""
+    return generate_instance(n_airports=4, n_bases=2, n_legs=24, n_aircraft=3,
+                             seed=5, rules_overrides={"T": 2})
 
 
 # ---------------------------------------------------------------------------

@@ -230,15 +230,19 @@ def test_integrated_rejects_gamma_outside_unit_interval(capsys, toy2_path,
     assert err.startswith("crewroute: error: gamma must be in (0, 1]")
 
 
-def test_integrated_exit_codes(capsys, toy2_path, overcut, tmp_path):
+def test_integrated_exit_codes(capsys, toy2_path, overcut, looping_week,
+                               tmp_path):
     code, out, _ = _run(capsys, ["integrated", toy2_path, "--gamma", "1.0"])
     assert code == 0
     assert json.loads(out)["status"] == "optimal"
+    # one aircraft cannot fly the overcut week: a proof at any gamma
     over = _write(tmp_path, overcut, "over.json")
-    code, out, _ = _run(capsys, ["integrated", over, "--gamma", "1.0"])
-    assert code == 2
-    assert json.loads(out)["status"] == "infeasible"
-    code, out, _ = _run(capsys, ["integrated", over, "--gamma", "0.9"])
+    for gamma in ("1.0", "0.9"):
+        code, out, _ = _run(capsys, ["integrated", over, "--gamma", gamma])
+        assert code == 2
+        assert json.loads(out)["status"] == "infeasible"
+    looping = _write(tmp_path, looping_week, "looping.json")
+    code, out, _ = _run(capsys, ["integrated", looping, "--gamma", "0.5"])
     assert code == 3
     rep = json.loads(out)
     assert rep["status"] == "limit"

@@ -4,20 +4,22 @@ from __future__ import annotations
 
 import json
 import math
+import random
 
 import pytest
 
 from conftest import airport, leg, make_instance
 from crewroute.generate import generate_instance
-from crewroute.instance import build_connections
+from crewroute.instance import ConnectionKind, build_connections
 from crewroute.integrated import cut_for, short_connections_of, solve_integrated
 from crewroute.oracles import integrated_brute_force
 from crewroute.pairing import solve_crew_pairing
+from crewroute.routing import RoutingSession, solve_routing
 
 
 def _overcut(n_a: int):
-    """Both crew round trips need their short turn; one airplane cannot
-    serve the two interleaved departures."""
+    """Both crew round trips need their short turn; one airplane cannot fly
+    the four legs at all, two can fly them with both turns."""
     return make_instance(
         [airport("AAA", base=True), airport("BBB")],
         [
@@ -106,31 +108,64 @@ def test_shorts_flown_when_fleet_allows():
         assert hit
 
 
-def test_overcut_relaxed_saturates(overcut):
-    res = solve_integrated(overcut, gamma=0.9)
+def test_relaxed_cuts_saturate(looping_week):
+    res = solve_integrated(looping_week, gamma=0.5)
     assert res.status == "limit"
     assert res.over_cut
     assert not res.provably_optimal
-    assert res.iterations == 2
-    assert len(res.cuts) == 1
-    assert res.cuts[0].conns == {(0, 2), (3, 1)}
-    assert res.cuts[0].rhs == pytest.approx(1.8)
-    assert res.as_dict()["cuts"] == [{"connections": [[0, 2], [3, 1]],
-                                      "rhs": 1.8}]
+    assert res.iterations == 3
+    assert len(res.cuts) == 2
+    first = res.cuts[0]
+    assert len(first.conns) == 6
+    assert first.rhs == pytest.approx(3.0)
+    assert res.as_dict()["cuts"][0] == {
+        "connections": sorted(list(k) for k in first.conns), "rhs": 3.0}
     assert res.log[0]["ar_status"] == "infeasible"
-    assert res.log[0]["cut_rhs"] == pytest.approx(1.8)
-    assert res.log[1]["cp_status"] == "infeasible"
+    assert res.log[0]["cut_rhs"] == pytest.approx(3.0)
+    assert res.log[-1]["cp_status"] == "infeasible"
 
 
-def test_overcut_exact_gamma_proves_infeasible(overcut):
-    res = solve_integrated(overcut, gamma=1.0)
+def test_exact_cuts_prove_infeasible(looping_week):
+    res = solve_integrated(looping_week, gamma=1.0)
     assert res.status == "infeasible"
     assert res.provably_optimal
     assert not res.over_cut
-    assert res.iterations == 2
-    assert res.cuts[0].rhs == 1.0
+    assert res.iterations == 6
+    assert [c.rhs for c in res.cuts] == [len(c.conns) - 1 for c in res.cuts]
+    assert res.routing is None
     assert math.isinf(res.objective)
     assert res.as_dict()["objective"] is None
+
+
+def _fleet_infeasible_week(request, week):
+    if week == "overcut":
+        return request.getfixturevalue("overcut")
+    return generate_instance(n_airports=4, n_bases=2, n_legs=24, n_aircraft=3,
+                             seed=week, rules_overrides={"T": 2})
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.9])
+@pytest.mark.parametrize("week", ["overcut", 7, 16])
+def test_fleet_infeasible_week_is_proven_in_one_iteration(request, week,
+                                                          gamma):
+    # the fleet cannot fly these weeks even with nothing forced: the first
+    # rejected S leads to one unforced routing solve, whose infeasibility
+    # ends the loop at any gamma, with no cut
+    inst = _fleet_infeasible_week(request, week)
+    res = solve_integrated(inst, gamma=gamma)
+    assert res.status == "infeasible"
+    assert res.provably_optimal
+    assert not res.over_cut
+    assert res.iterations == 1
+    assert res.cuts == []
+    assert res.pairing.status == "optimal"
+    assert res.log[0]["ar_status"] == "infeasible"
+    assert res.routing.forced == []
+    assert res.routing.status == "infeasible"
+    assert solve_routing(inst).status == "infeasible"
+    if week == "overcut":
+        status, _ = integrated_brute_force(inst, build_connections(inst))
+        assert status == "infeasible"
 
 
 def test_uncoverable_crew_side(uncoverable):
@@ -143,8 +178,8 @@ def test_uncoverable_crew_side(uncoverable):
     assert res.pairing.uncovered_legs == [0, 1]
 
 
-def test_iteration_limit_reports_limit(overcut):
-    res = solve_integrated(overcut, gamma=0.5, iteration_limit=1)
+def test_iteration_limit_reports_limit(looping_week):
+    res = solve_integrated(looping_week, gamma=0.5, iteration_limit=1)
     assert res.status == "limit"
     assert not res.over_cut
     assert res.iterations == 1
@@ -207,17 +242,12 @@ def test_report_shape_and_determinism(toy2):
 
 
 # ---------------------------------------------------------------------------
-# one pairing session per loop
-
-
-def _cut_loop_weeks(overcut):
-    """Weeks whose gamma=1 loop runs several iterations."""
-    weeks = [overcut]
-    for n_legs, seed in ((10, 8), (16, 9), (24, 5)):
-        weeks.append(generate_instance(n_airports=4, n_bases=2, n_legs=n_legs,
-                                       n_aircraft=3, seed=seed,
-                                       rules_overrides={"T": 2}))
-    return weeks
+# one pairing session and one routing session per loop
+#
+# A week the fleet cannot fly even unforced ends after one iteration, so
+# these tests run on a week whose loop really repeats (``looping_week``).
+# Generated 10-, 12- and 16-leg weeks with a 2-day maintenance interval
+# (seeds 0-39) never loop more than once.
 
 
 def _traced_loop(monkeypatch, inst, gamma=1.0):
@@ -238,7 +268,7 @@ def _traced_loop(monkeypatch, inst, gamma=1.0):
     return res, calls
 
 
-def test_loop_builds_the_networks_once(monkeypatch, overcut):
+def test_loop_builds_the_networks_once(monkeypatch, looping_week):
     # networks once per loop, and each of the 7 windows' arc resources and
     # state graph once, however many cuts the loop adds
     from crewroute.pairing import colgen
@@ -256,37 +286,120 @@ def test_loop_builds_the_networks_once(monkeypatch, overcut):
     for name in ("build_pricing_networks", "arc_resources",
                  "build_state_graph"):
         counted(name)
-    for inst in _cut_loop_weeks(overcut):
-        built.clear()
-        res = solve_integrated(inst, gamma=1.0)
-        assert res.iterations >= 2
-        assert built.count("build_pricing_networks") == 1
-        assert built.count("arc_resources") == 7
-        assert built.count("build_state_graph") == 7
+    res = solve_integrated(looping_week, gamma=1.0)
+    assert res.iterations >= 2
+    assert built.count("build_pricing_networks") == 1
+    assert built.count("arc_resources") == 7
+    assert built.count("build_state_graph") == 7
+
+
+def test_loop_routes_through_one_session(monkeypatch, looping_week):
+    # the routing graph and model are built once per loop; every routing
+    # solve goes through crewroute.integrated.solve_routing, which
+    # per-layer tracing patches, and leaves the model as it was built
+    import crewroute.integrated as integrated
+    from crewroute import routing
+
+    built, mips, solves = [], [], []
+    fresh_model = routing.build_ar_model
+
+    def counted(name, log):
+        fn = getattr(routing, name)
+
+        def wrapped(*args, **kwargs):
+            log.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(routing, name, wrapped)
+
+    counted("build_routing_graph", built)
+    counted("build_ar_model", built)
+    counted("solve_mip", mips)
+    solve = integrated.solve_routing
+
+    def traced(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        session = kwargs["session"]
+        lp, _ = fresh_model(session.graph, session.budget, [])
+        assert session.lp.columns == lp.columns
+        assert session.lp.rhs == lp.rhs
+        assert session.lp.relations == lp.relations
+        solves.append(res)
+        return res
+
+    monkeypatch.setattr(integrated, "solve_routing", traced)
+    res = solve_integrated(looping_week, gamma=1.0)
+    assert built == ["build_routing_graph", "build_ar_model"]
+    # one forced solve per cut, plus the fleet check after the first
+    assert len(solves) == len(mips) == len(res.cuts) + 1
+    assert [r.forced for r in solves] == (
+        [sorted(res.cuts[0].conns), []]
+        + [sorted(c.conns) for c in res.cuts[1:]])
+    assert solves[1].status == "optimal"
+
+
+def test_session_forced_solves_match_fresh_solves(looping_week):
+    # forced solves warm-started from the unforced root basis reach the
+    # status and fleet size of a fresh cold solve
+    inst = looping_week
+    conns = build_connections(inst)
+    shorts = sorted(c.key for c in conns if c.kind == ConnectionKind.SHORT)
+    session = RoutingSession(inst, conns, inst.rules.n_a)
+    assert solve_routing(inst, conns, session=session).status == "optimal"
+    assert session.basis is not None
+    rng = random.Random(5)
+    statuses = set()
+    for _ in range(12):
+        s = rng.sample(shorts, rng.randrange(1, 7))
+        got = solve_routing(inst, conns, forced=s, session=session)
+        fresh = solve_routing(inst, conns, forced=s)
+        assert got.status == fresh.status
+        assert got.n_aircraft == fresh.n_aircraft
+        statuses.add(got.status)
+    assert statuses == {"optimal", "infeasible"}
+    with pytest.raises(ValueError, match="another instance or budget"):
+        solve_routing(inst, conns, budget=inst.rules.n_a + 1,
+                      session=session)
+
+
+def test_loop_decodes_only_the_columns_it_adds(monkeypatch, looping_week):
+    # pooled paths are recognised by their legs before decoding
+    from crewroute.pairing import colgen
+
+    decoded = []
+    decode = colgen.decode_pairing
+
+    def counted(*args, **kwargs):
+        decoded.append(args[2])
+        return decode(*args, **kwargs)
+
+    monkeypatch.setattr(colgen, "decode_pairing", counted)
+    res, calls = _traced_loop(monkeypatch, looping_week)
+    assert res.iterations >= 2
+    added = sum(r.stats["columns_priced"] + r.stats["columns_completion"]
+                for _, r in calls)
+    assert len(decoded) == added == res.pairing.n_columns
 
 
 def test_loop_calls_the_pairing_solver_once_per_iteration(monkeypatch,
-                                                          overcut):
+                                                          looping_week):
     # per-layer tracing patches crewroute.integrated.solve_crew_pairing, so
     # every iteration must go through that name
-    for inst in _cut_loop_weeks(overcut):
-        res, calls = _traced_loop(monkeypatch, inst)
-        assert len(calls) == res.iterations >= 2
-        assert [len(c) for c, _ in calls] == list(range(res.iterations))
-        assert res.cg_iter_total == sum(r.iterations for _, r in calls)
+    res, calls = _traced_loop(monkeypatch, looping_week)
+    assert len(calls) == res.iterations >= 2
+    assert [len(c) for c, _ in calls] == list(range(res.iterations))
+    assert res.cg_iter_total == sum(r.iterations for _, r in calls)
 
 
-def test_session_iterations_match_fresh_solves(monkeypatch, overcut):
+def test_session_iterations_match_fresh_solves(monkeypatch, looping_week):
     # each resumed solve reaches the status and objective of a fresh solve
     # under the same cuts, in fewer column-generation rounds after the first
-    weeks = _cut_loop_weeks(overcut)
-    # gamma=0.9 on the 24-leg week runs for minutes (see CHANGES.md)
-    runs = [(w, 1.0) for w in weeks] + [(w, 0.9) for w in weeks[:3]]
-    for inst, gamma in runs:
-        _, calls = _traced_loop(monkeypatch, inst, gamma)
+    # (gamma=0.9 on this week runs for minutes, see CHANGES.md)
+    for gamma in (1.0, 0.5):
+        _, calls = _traced_loop(monkeypatch, looping_week, gamma)
+        assert len(calls) >= 2
         resumed_rounds = fresh_rounds = 0
         for k, (cuts, got) in enumerate(calls):
-            fresh = solve_crew_pairing(inst, cuts=cuts)
+            fresh = solve_crew_pairing(looping_week, cuts=cuts)
             assert got.status == fresh.status
             assert got.objective == pytest.approx(fresh.objective, abs=1e-6)
             assert got.provably_optimal == fresh.provably_optimal

@@ -370,7 +370,7 @@ def _random_master(rng: random.Random) -> MasterProblem:
             legs=tuple(legs), cost=100.0 + k, nights=rng.randrange(0, 4),
             duties=duties, n_long_duties=rng.randrange(0, 3),
             shorts=tuple(rng.sample(conns, 8)))
-        if not master.has_column(col):
+        if not master.has_column(col.legs):
             master.add_column(col)
     return master
 

@@ -349,7 +349,7 @@ def test_master_row_layout(toy2):
     assert dense[m.cover_row[1], var] == 1.0
     assert dense[m.alpha_row, var] == pytest.approx(-0.5)
     assert dense[m.beta_row, var] == pytest.approx(-0.5)
-    assert m.has_column(_col((0, 1), 300.0))
+    assert m.has_column((0, 1))
     with pytest.raises(ValueError, match="duplicate"):
         m.add_column(_col((0, 1), 300.0))
 
