@@ -165,7 +165,6 @@ class LpSolution:
     x: np.ndarray | None
     objective: float
     duals: np.ndarray | None
-    reduced_costs: np.ndarray | None
     iterations: int
     basis: Basis | None = None
 

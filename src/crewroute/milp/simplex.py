@@ -405,19 +405,19 @@ def _phase2(lp: LinearProgram, t: _Tableau, max_pivots: int, pivots: int) -> LpS
     state, it2 = _iterate(t, max_pivots)
     iterations = pivots + it2
     if state == "limit":
-        return LpSolution(LpStatus.NUMERIC_FAILURE, None, math.nan, None, None, iterations)
+        return LpSolution(LpStatus.NUMERIC_FAILURE, None, math.nan, None, iterations)
     if state == "unbounded":
-        return LpSolution(LpStatus.UNBOUNDED, None, -math.inf, None, None, iterations)
+        return LpSolution(LpStatus.UNBOUNDED, None, -math.inf, None, iterations)
 
     if not _refactor(t):
-        return LpSolution(LpStatus.NUMERIC_FAILURE, None, math.nan, None, None, iterations)
+        return LpSolution(LpStatus.NUMERIC_FAILURE, None, math.nan, None, iterations)
     # Feasibility audit: a basis outside tolerance is reported, not returned.
     scale = max(1.0, float(np.abs(t.b).max(initial=0.0)))
     ub_b = t.ub[t.basis]
     if (t.xb < -10 * TOL_FEAS * scale).any() or (
         np.isfinite(ub_b) & (t.xb > ub_b + 10 * TOL_FEAS * scale)
     ).any():
-        return LpSolution(LpStatus.NUMERIC_FAILURE, None, math.nan, None, None, iterations)
+        return LpSolution(LpStatus.NUMERIC_FAILURE, None, math.nan, None, iterations)
 
     x_std = np.where(t.vstat[: t.n_orig] == _AT_UPPER, t.ub[: t.n_orig], 0.0)
     for i in range(m):
@@ -433,9 +433,8 @@ def _phase2(lp: LinearProgram, t: _Tableau, max_pivots: int, pivots: int) -> LpS
     x_std[near_up] = ub_orig[near_up]
     x = x_std + t.lo_shift
     y = t.cost[t.basis] @ t.binv
-    reduced = np.array(lp.obj) - t.row_times(y, t.n_orig)
     objective = float(np.array(lp.obj) @ x)
-    return LpSolution(LpStatus.OPTIMAL, x, objective, y, reduced, iterations,
+    return LpSolution(LpStatus.OPTIMAL, x, objective, y, iterations,
                       _basis_of(t))
 
 
@@ -490,7 +489,7 @@ def _solve_warm(
         dual_cap = DUAL_PIVOTS_PER_ROW * lp.n_rows + DUAL_PIVOTS_MIN
     state, pivots = _dual_iterate(t, min(max_pivots, dual_cap))
     if state == "infeasible":
-        sol = LpSolution(LpStatus.INFEASIBLE, None, math.inf, None, None, pivots)
+        sol = LpSolution(LpStatus.INFEASIBLE, None, math.inf, None, pivots)
         return sol, pivots
     if state == "stuck":
         return None, pivots
@@ -527,7 +526,7 @@ def solve_lp(
     sol, used = _solve_warm(lp, bound_overrides, max_pivots, _crash(lp),
                             dual_cap=max_pivots)
     if sol is None:
-        return LpSolution(LpStatus.NUMERIC_FAILURE, None, math.nan, None, None,
+        return LpSolution(LpStatus.NUMERIC_FAILURE, None, math.nan, None,
                           spent + used)
     sol.iterations += spent
     return sol

@@ -141,10 +141,6 @@ class _WindowPricer:
         # and a None result certifies that no wanted column exists.
         return solve(self.state_graph, algebra, initial_ub=-PRICING_TOL)
 
-    def enumerate(self, c_ub: float, path_limit: int):
-        return enumerate_within(self.state_graph, self.algebra, c_ub,
-                                path_limit)
-
 
 class PairingSession:
     """Column-generation state of one instance, kept across cut rounds."""
@@ -226,13 +222,20 @@ class PairingSession:
                 truncated=truncated, stats=stats,
             )
 
-        def check_column(col: PairingColumn, model_cost: float, duals) -> None:
+        def admit(net: WindowNetwork, path, model_cost: float, duals) -> bool:
+            """Add the pairing of a window path unless the pool has it. Its
+            reduced cost in the master must be the network's cost."""
+            if master.has_column(path_legs(net, path)):
+                return False
+            col = decode_pairing(net, inst, path)
             rc = master.reduced_cost(col, duals)
             if abs(rc - model_cost) > 1e-5 * max(1.0, abs(rc)):
                 raise RuntimeError(
                     f"pricing arithmetic mismatch: network {model_cost!r} "
                     f"vs master {rc!r} for legs {col.legs}"
                 )
+            master.add_column(col)
+            return True
 
         # Step 1-3: price until no pairing has reduced cost below
         # -PRICING_TOL. New columns enter nonbasic at zero, so the previous
@@ -257,13 +260,8 @@ class PairingSession:
                 cost, path, st = pricer.reprice(algebra, leg_duals,
                                                 conn_duals)
                 tally(st)
-                if (path is None or cost >= -PRICING_TOL
-                        or master.has_column(path_legs(pricer.net, path))):
-                    continue
-                col = decode_pairing(pricer.net, inst, path)
-                check_column(col, cost, lp_sol.duals)
-                master.add_column(col)
-                added += 1
+                if path is not None:
+                    added += admit(pricer.net, path, cost, lp_sol.duals)
             stats["columns_priced"] += added
             if added == 0:
                 converged = True
@@ -305,16 +303,13 @@ class PairingSession:
         # converged duals is within the optimality gap.
         threshold = (c_ub - c_lb) + COMPLETION_PAD
         for pricer in pricers:
-            entries, st = pricer.enumerate(threshold, path_limit)
+            entries, st = enumerate_within(pricer.state_graph, pricer.algebra,
+                                           threshold, path_limit)
             tally(st)
             truncated = truncated or st.truncated
             for path, _q, cost in entries:
-                if master.has_column(path_legs(pricer.net, path)):
-                    continue
-                col = decode_pairing(pricer.net, inst, path)
-                check_column(col, cost, final_duals)
-                master.add_column(col)
-                stats["columns_completion"] += 1
+                stats["columns_completion"] += admit(pricer.net, path, cost,
+                                                     final_duals)
 
         # Step 6: final integer solve over the completed pool.
         mip2 = solve_mip(master.lp, node_limit=node_limit, start=self.basis)

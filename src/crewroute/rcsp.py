@@ -6,8 +6,11 @@ a lattice partial order (``leq``, ``meet``, ``join``) compatible with
 infeasibility flag ``infeasible``. The solver enumerates partial paths from
 the origin, keyed by the best completion estimate obtainable from a set of
 suffix bounds per vertex, and discards paths by dominance (Dom) and by
-bound-based pruning (Low). Bounds come from a state graph: each vertex
-carries up to ``kappa`` states, each state aggregating a cluster of
+bound-based pruning (Low). One best-first loop runs in two modes: ``solve``
+lowers its bound to each better path it finds, and ``enumerate_within``
+keeps a fixed threshold and collects every path within it, as gap
+completion needs. Bounds come from a state graph: each vertex carries up
+to ``kappa`` states, each state aggregating a cluster of
 (out-arc, successor-state) candidates, and a backward DP over states yields
 one sound suffix bound per state. With exact algebras the returned minimum
 is independent of which tests are enabled; the tests only change how much
@@ -488,32 +491,20 @@ class SolveStats:
     truncated: bool = False
 
 
-def solve(
-    sg: StateGraph,
-    algebra,
-    tests: tuple[str, ...] = ("dom", "low"),
-    initial_ub: float = math.inf,
-):
-    """Minimum-cost feasible o-d path. Returns (cost, arc path, stats).
-
-    Cost is +inf with a None path when no feasible path exists. Enabling or
-    disabling tests changes the statistics, never the returned optimum.
-
-    initial_ub acts as an incumbent: paths costing initial_ub or more are
-    not wanted, so the search may discard any label whose completion bound
-    already reaches it. With a finite initial_ub the returned path is the
-    optimum whenever the optimum costs less than initial_ub, and (inf, None)
-    otherwise.
+def _search(sg: StateGraph, algebra, ub: float, found: list | None,
+            use_dom: bool, use_low: bool, path_limit: int = 0):
+    """The label loop of ``solve`` and ``enumerate_within``, labels popped
+    by completion key, ties in push order. Incumbent mode (``found`` is
+    None): a cheaper feasible o-d label lowers ``ub``. Collect mode: each
+    feasible o-d label costing at most ``ub`` goes to ``found`` until one
+    beyond ``path_limit`` sets ``truncated``. Returns (ub, best, stats).
     """
     graph = sg.graph
     stats = SolveStats()
-    use_dom = "dom" in tests
-    use_low = "low" in tests
-    ub = initial_ub
     best: PartialPath | None = None
 
     if graph.origin not in graph.kept:
-        return math.inf, None, stats
+        return ub, None, stats
 
     root = PartialPath(graph.origin, algebra.neutral, None, None)
     seq = 0
@@ -529,9 +520,18 @@ def solve(
         v = lab.vertex
         if v == graph.dest:
             q = lab.resource
-            if not algebra.infeasible(q) and algebra.cost(q) < ub:
-                ub = algebra.cost(q)
-                best = lab
+            if algebra.infeasible(q):
+                continue
+            c = algebra.cost(q)
+            if found is None:
+                if c < ub:
+                    ub = c
+                    best = lab
+            elif c <= ub:
+                if len(found) >= path_limit:
+                    stats.truncated = True
+                    break
+                found.append((lab.arc_path(), q, c))
             continue
         # Cheap test first: the completion bound was computed at push time
         # and sits in the popped key, while dominance scans a front.
@@ -556,6 +556,28 @@ def solve(
                                                 sg.states_of[head], ordered)
             heapq.heappush(heap, (child_key, seq, child))
 
+    return ub, best, stats
+
+
+def solve(
+    sg: StateGraph,
+    algebra,
+    tests: tuple[str, ...] = ("dom", "low"),
+    initial_ub: float = math.inf,
+):
+    """Minimum-cost feasible o-d path. Returns (cost, arc path, stats).
+
+    Cost is +inf with a None path when no feasible path exists. Enabling or
+    disabling tests changes the statistics, never the returned optimum.
+
+    initial_ub acts as an incumbent: paths costing initial_ub or more are
+    not wanted, so the search may discard any label whose completion bound
+    already reaches it. With a finite initial_ub the returned path is the
+    optimum whenever the optimum costs less than initial_ub, and (inf, None)
+    otherwise.
+    """
+    ub, best, stats = _search(sg, algebra, initial_ub, None,
+                              "dom" in tests, "low" in tests)
     if best is None:
         return math.inf, None, stats
     return ub, best.arc_path(), stats
@@ -569,46 +591,13 @@ def enumerate_within(
 ):
     """All feasible o-d paths with cost <= c_ub (dominance disabled).
 
-    Returns (entries, stats) where entries are (arc path, resource, cost)
-    and stats.truncated reports a hit of ``path_limit`` (not an error).
+    Returns (entries, stats) where entries are (arc path, resource, cost) in
+    the order the search reaches them. When more than ``path_limit`` paths
+    are within c_ub, entries holds the first ``path_limit`` of them and
+    stats.truncated is set (not an error).
     """
-    graph = sg.graph
-    stats = SolveStats()
     found: list[tuple[tuple[int, ...], object, float]] = []
-    if graph.origin not in graph.kept:
-        return found, stats
-
-    root = PartialPath(graph.origin, algebra.neutral, None, None)
-    seq = 0
-    ordered = sg.ordered_for is algebra
-    key = algebra.completion_cost(root.resource, sg.bounds,
-                                  sg.states_of[graph.origin], ordered)
-    heap = [(key, seq, root)]
-    while heap:
-        key, _, lab = heapq.heappop(heap)
-        stats.paths_enumerated += 1
-        v = lab.vertex
-        if v == graph.dest:
-            q = lab.resource
-            if not algebra.infeasible(q) and algebra.cost(q) <= c_ub:
-                found.append((lab.arc_path(), q, algebra.cost(q)))
-                if len(found) >= path_limit:
-                    stats.truncated = True
-                    break
-            continue
-        if not key <= c_ub:
-            stats.cut_low += 1
-            continue
-        for aid in graph.out[v]:
-            head = graph.arcs[aid][1]
-            q2 = algebra.combine(lab.resource, graph.resources[aid])
-            if head != graph.dest and algebra.infeasible(q2):
-                continue
-            seq += 1
-            child = PartialPath(head, q2, lab, aid)
-            child_key = algebra.completion_cost(q2, sg.bounds,
-                                                sg.states_of[head], ordered)
-            heapq.heappush(heap, (child_key, seq, child))
+    _, _, stats = _search(sg, algebra, c_ub, found, False, True, path_limit)
     return found, stats
 
 

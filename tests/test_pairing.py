@@ -212,7 +212,7 @@ def test_folded_cut_duals_price_the_master_reduced_cost():
 
     from crewroute.generate import generate_instance
     from crewroute.pairing.colgen import _WindowPricer, connection_duals
-    from crewroute.rcsp import solve
+    from crewroute.rcsp import enumerate_within, solve
 
     inst = generate_instance(n_airports=4, n_bases=2, n_legs=16,
                              n_aircraft=3, seed=5)
@@ -240,7 +240,8 @@ def test_folded_cut_duals_price_the_master_reduced_cost():
         clamped[le_rows] = np.minimum(clamped[le_rows], 0.0)
         for pricer in pricers:
             pricer.reprice(alg, legs, conn_duals)
-            entries, st = pricer.enumerate(math.inf, 100_000)
+            entries, st = enumerate_within(pricer.state_graph, alg,
+                                           math.inf, 100_000)
             assert not st.truncated
             costs = []
             for path, _q, cost in entries:
@@ -493,6 +494,55 @@ def test_pricing_search_order_is_pinned(kappa, counts):
     inst = generate_instance(6, 2, 60, 6, 7)
     st = solve_crew_pairing(inst, kappa=kappa, max_rounds=1).stats
     assert (st["paths_enumerated"], st["cut_dom"], st["cut_low"]) == counts
+
+
+_COMPLETION_PINS = {
+    # per window: entries, sha256 prefix of their (arc path, cost) list in
+    # order, labels popped, Low cuts, truncated
+    50: [(2257, "e14cccc13b31", 15413, 3918, False),
+         (211, "2478eae7ff46", 1625, 501, False),
+         (65, "e4346e079809", 460, 162, False),
+         (3, "5e9a1bd2c323", 30, 12, False),
+         (0, "4f53cda18c2b", 1, 1, False),
+         (0, "4f53cda18c2b", 16, 15, False),
+         (131, "3b62794ff7ba", 859, 306, False)],
+    1: [(2257, "3e9c33fa65f7", 15980, 4202, False),
+        (211, "a530ce067a76", 1657, 517, False),
+        (65, "e4346e079809", 466, 164, False),
+        (3, "5e9a1bd2c323", 30, 12, False),
+        (0, "4f53cda18c2b", 14, 9, False),
+        (0, "4f53cda18c2b", 31, 23, False),
+        (131, "4789b91facc9", 1360, 489, False)],
+}
+
+
+@pytest.mark.parametrize("kappa", sorted(_COMPLETION_PINS))
+def test_completion_enumeration_is_pinned(kappa):
+    # Gap completion's enumeration of every window of a 60-leg week after
+    # one reprice under fixed duals, at one threshold: the order in which
+    # the search emits the paths within it and its work counters. The duals
+    # are fixed rather than taken from an LP, so solver rounding cannot
+    # move them.
+    import hashlib
+
+    from crewroute.generate import generate_instance
+    from crewroute.pairing.colgen import PairingSession
+    from crewroute.rcsp import enumerate_within
+
+    inst = generate_instance(6, 2, 60, 6, 7)
+    session = PairingSession(inst, kappa=kappa)
+    alg = session.base_algebra.with_duals(-1.5, -2.5)
+    duals = {l.id: 100.0 + 4 * (l.id % 7) for l in inst.legs}
+    got = []
+    for pricer in session.pricers:
+        pricer.reprice(alg, duals, {})
+        entries, st = enumerate_within(pricer.state_graph, pricer.algebra,
+                                       25.0)
+        listed = repr([(path, cost) for path, _q, cost in entries])
+        got.append((len(entries),
+                    hashlib.sha256(listed.encode()).hexdigest()[:12],
+                    st.paths_enumerated, st.cut_low, st.truncated))
+    assert got == _COMPLETION_PINS[kappa]
 
 
 def test_colgen_lp_values_non_increasing(toy2):

@@ -474,6 +474,20 @@ def test_enumerate_truncates_at_path_limit():
     assert stats.truncated
 
 
+@pytest.mark.parametrize("limit, n_found, truncated",
+                         [(5, 5, False), (0, 0, True)])
+def test_enumerate_truncates_only_beyond_path_limit(limit, n_found,
+                                                    truncated):
+    # five paths within c_ub: a limit of five holds them all, so nothing is
+    # cut off; a limit of zero holds none of them
+    g = RcspGraph(2, [(0, 1)] * 5, 0, 1, [(float(i), 0) for i in range(5)])
+    alg = AdditiveCapacityAlgebra(3)
+    found, stats = enumerate_within(_state_graph(g, alg, 2), alg, math.inf,
+                                    path_limit=limit)
+    assert len(found) == n_found
+    assert stats.truncated is truncated
+
+
 def test_oracle_path_guard():
     arcs, res = [], []
     for i in range(5):
