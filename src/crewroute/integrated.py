@@ -7,15 +7,18 @@ and asks the routing side to fly all of S under the maintenance rules and
 the fleet budget. If routing succeeds the pair of solutions is consistent
 and we stop. Otherwise a cut caps how many connections of S future crew
 solutions may use: at gamma = 1 the cap is |S| - 1 (a pure no-good, which
-keeps the loop exact), below 1 it is the fractional gamma * |S|, which cuts
-deeper and trades optimality for fewer iterations.
+keeps the loop exact), below 1 it is floor(gamma * |S|), which cuts deeper
+and trades optimality for fewer iterations. A cut row counts the short
+connections of binary pairing columns, so its left side is an integer, and
+rounding the cap down admits the same crew plans while tightening the LP.
 
 The same S can never come back: any crew solution using all of S violates
 its own cut, which is asserted each iteration.
 
-All iterations share one ``PairingSession``, so each cut is added to the
-networks, column pool and master basis of the previous iteration, and
-pairing resumes from there instead of starting over. They share one
+All iterations share one ``PairingSession``, and the session holds the
+cuts: each cut is added to it (``add_cut``) as soon as routing rejects S,
+on the networks, column pool and master basis of the previous iteration,
+and pairing resumes from there instead of starting over. They share one
 ``RoutingSession`` too: the routing graph and arc-flow model are built
 once, and each forced solve only appends its forcing rows.
 
@@ -94,8 +97,10 @@ def short_connections_of(result: PairingResult) -> frozenset:
 
 
 def cut_for(s: frozenset, gamma: float) -> CutRow:
-    rhs = float(len(s) - 1) if gamma >= 1.0 else gamma * len(s)
-    return CutRow(conns=s, rhs=rhs)
+    """Cap ``floor(gamma * |S|)``, at most ``|S| - 1``; the tolerance keeps a
+    product a hair below an integer (0.58 * 50) from cutting one deeper."""
+    rhs = min(len(s) - 1, math.floor(gamma * len(s) + 1e-9))
+    return CutRow(conns=s, rhs=float(rhs))
 
 
 def solve_integrated(
@@ -106,7 +111,6 @@ def solve_integrated(
     kappa=None,
     path_limit: int = 200_000,
     node_limit: int = 200_000,
-    max_rounds: int = 500,
 ) -> IntegratedResult:
     if gamma is None:
         gamma = inst.rules.gamma
@@ -115,8 +119,13 @@ def solve_integrated(
     if connections is None:
         connections = build_connections(inst)
 
-    cuts: list[CutRow] = []
-    seen: set[frozenset] = set()
+    # One pairing and one routing session for the whole loop: the pairing
+    # session holds the cuts, each iteration adds its cut to the same
+    # networks, pool and basis, forces its S on the same routing model, and
+    # re-solves from there.
+    session = PairingSession(inst, connections, kappa=kappa)
+    routing = RoutingSession(inst, connections, inst.rules.n_a)
+
     lower_bound: float | None = None
     log: list[dict] = []
     cg_iter_total = 0
@@ -130,7 +139,7 @@ def solve_integrated(
             gamma=gamma,
             provably_optimal=proven,
             iterations=len(log),
-            cuts=cuts,
+            cuts=list(session.cuts),
             pairing=cp,
             routing=ar,
             log=log,
@@ -139,18 +148,10 @@ def solve_integrated(
             short_connections=len(short_connections_of(cp)) if cp else 0,
         )
 
-    # One pairing and one routing session for the whole loop: each
-    # iteration adds its cut to the same networks, pool and basis, forces
-    # its S on the same routing model, and re-solves from there.
-    session = PairingSession(inst, connections, kappa=kappa)
-    routing = RoutingSession(inst, connections, inst.rules.n_a)
     fleet_checked = False
     for it in range(1, iteration_limit + 1):
-        cp = solve_crew_pairing(
-            inst, connections, cuts=tuple(cuts), kappa=kappa,
-            path_limit=path_limit, node_limit=node_limit,
-            max_rounds=max_rounds, session=session,
-        )
+        cp = solve_crew_pairing(inst, session=session, path_limit=path_limit,
+                                node_limit=node_limit)
         cg_iter_total += cp.iterations
         if lower_bound is None:
             lower_bound = cp.c_lb
@@ -159,7 +160,7 @@ def solve_integrated(
                  else cp.objective}
         if cp.status == "infeasible":
             log.append(entry)
-            if not cuts:
+            if not session.cuts:
                 return result("infeasible", cp, None, proven=True)
             if gamma >= 1.0 and cp.provably_optimal:
                 # Exact no-goods: every cut's S was rejected by the exact
@@ -175,8 +176,8 @@ def solve_integrated(
 
         s = short_connections_of(cp)
         entry["n_short_used"] = len(s)
-        ar = solve_routing(inst, connections, forced=sorted(s),
-                           node_limit=node_limit, session=routing)
+        ar = solve_routing(inst, forced=sorted(s), node_limit=node_limit,
+                           session=routing)
         entry["ar_status"] = ar.status
         if ar.status == "optimal":
             log.append(entry)
@@ -196,16 +197,15 @@ def solve_integrated(
         # A node-limit result proves nothing, so the loop just cuts.
         if not fleet_checked:
             fleet_checked = True
-            unforced = solve_routing(inst, connections, forced=[],
-                                     node_limit=node_limit, session=routing)
+            unforced = solve_routing(inst, forced=[], node_limit=node_limit,
+                                     session=routing)
             if unforced.status == "infeasible":
                 log.append(entry)
                 return result("infeasible", cp, unforced, proven=True)
-        if s in seen:
+        if any(c.conns == s for c in session.cuts):
             raise RuntimeError("cut failed to exclude its own support set")
-        seen.add(s)
         cut = cut_for(s, gamma)
-        cuts.append(cut)
+        session.add_cut(cut)
         entry["cut_rhs"] = cut.rhs
         log.append(entry)
 

@@ -393,20 +393,3 @@ class PairingAlgebra(ResourceAlgebra):
     @staticmethod
     def is_top(q) -> bool:
         return q[0][0] == 3
-
-    # -- exact column coefficients for complete paths ------------------------
-
-    def n_long_duties(self, q) -> int:
-        """Number of long duties certified by the core, as ``cost`` counts
-        them."""
-        core = q[0]
-        t = core[0]
-        if t == 3:
-            raise ValueError("infeasible resource has no duty count")
-        if t == 0:
-            return 0
-        if t == 1:
-            return 1 if core[1] > LONG_DUTY_LEGS else 0
-        return (core[5]
-                + (1 if core[1] > LONG_DUTY_LEGS else 0)
-                + (1 if core[3] > LONG_DUTY_LEGS else 0))

@@ -12,15 +12,18 @@ solve is artificial-free and already within the pad of the lower bound it
 is the proven optimum, and nothing is enumerated.
 
 A ``PairingSession`` keeps this state between solves of one instance: the
-window networks and their pricers, the master with its column pool, and
-the last optimal master basis. Each master LP resumes from the previous
-one's basis, and each integer solve starts its root from the converged
-column-generation basis. A short-connection cut (``add_cut``) appends one
-master row, whose slack joins the basis, and nothing else: every pooled
-column stays, and each round prices the row's dual on the arcs of its
-short connections, so arc resources and state graphs are built once per
-session. The integrated loop therefore re-solves instead of restarting,
-and a report's ``n_columns`` is the size of the session's pool.
+window networks and their pricers, the master with its column pool and
+cuts, and the last optimal master basis. Each master LP resumes from the
+previous one's basis, and each integer solve starts its root from the
+converged column-generation basis. ``add_cut`` is the one way a
+short-connection cut reaches the master: it appends one master row, whose
+slack joins the basis, and nothing else. Every pooled column stays, and
+each round prices the row's dual on the arcs of its short connections, so
+arc resources and state graphs are built once per session. The integrated
+loop adds each cut to its session and re-solves instead of restarting, and
+a report's ``n_columns`` is the size of the session's pool.
+``solve_crew_pairing`` either opens a session with no cuts or resumes the
+one it is given under that session's own cuts.
 
 The master LP is solved with column upper bounds relaxed to infinity. The
 cover equalities already imply y <= 1, so the optimum is unchanged, and it
@@ -146,8 +149,7 @@ class PairingSession:
     """Column-generation state of one instance, kept across cut rounds."""
 
     def __init__(self, inst: Instance,
-                 connections: list[Connection] | None = None,
-                 cuts: tuple[CutRow, ...] = (), kappa=None):
+                 connections: list[Connection] | None = None, kappa=None):
         if connections is None:
             connections = build_connections(inst)
         self.inst = inst
@@ -155,8 +157,6 @@ class PairingSession:
                                 if c.kind == ConnectionKind.SHORT)
         self.master = MasterProblem(inst)
         self.basis: Basis | None = None
-        for cut in cuts:
-            self.add_cut(cut)
         rules = inst.rules
         self.base_algebra = PairingAlgebra(rules.max_legs_per_duty,
                                            rules.F_max, rules.alpha,
@@ -337,27 +337,20 @@ class PairingSession:
 def solve_crew_pairing(
     inst: Instance,
     connections: list[Connection] | None = None,
-    cuts: tuple[CutRow, ...] = (),
     kappa=None,
     path_limit: int = 200_000,
     node_limit: int = 200_000,
     max_rounds: int = 500,
     session: PairingSession | None = None,
 ) -> PairingResult:
-    """Solve crew pairing under ``cuts`` by column generation.
+    """Solve crew pairing by column generation.
 
-    ``session`` resumes an open session of ``inst`` whose cuts are a prefix
-    of ``cuts``: it gains the rest and keeps its networks, kappa, column
-    pool and basis. Without one, a fresh session is opened.
+    ``session`` resumes an open session of ``inst`` under its own cuts, with
+    its networks, kappa, column pool and basis. Without one, a session with
+    no cuts is opened.
     """
-    cuts = tuple(cuts)
     if session is None:
-        session = PairingSession(inst, connections, cuts, kappa)
-    else:
-        have = session.cuts
-        if session.inst is not inst or cuts[:len(have)] != have:
-            raise ValueError("session belongs to another instance or cut "
-                             "sequence")
-        for cut in cuts[len(have):]:
-            session.add_cut(cut)
+        session = PairingSession(inst, connections, kappa)
+    elif session.inst is not inst:
+        raise ValueError("session belongs to another instance")
     return session.solve(path_limit, node_limit, max_rounds)

@@ -41,7 +41,7 @@ def artificial_cost(inst: Instance) -> float:
 
 
 class MasterProblem:
-    def __init__(self, inst: Instance, cuts: tuple[CutRow, ...] = ()):
+    def __init__(self, inst: Instance):
         self.inst = inst
         self.leg_ids = sorted(l.id for l in inst.legs)
         self.lp = LinearProgram()
@@ -62,8 +62,6 @@ class MasterProblem:
         self.beta_row = self.lp.add_row({}, "<=", 0.0)
         self.cuts: tuple[CutRow, ...] = ()
         self.cut_rows: list[int] = []
-        for cut in cuts:
-            self.add_cut(cut)
 
     def add_cut(self, cut: CutRow) -> int:
         """Append the cut's row; every pooled column gets its coefficient."""
@@ -123,5 +121,5 @@ class MasterProblem:
         return [col for col, v in zip(self.columns, self.col_vars)
                 if x[v] > 0.5]
 
-    def active_artificials(self, x, tol: float = 1e-6) -> list[int]:
-        return [leg for leg in self.leg_ids if x[self.art_vars[leg]] > tol]
+    def active_artificials(self, x) -> list[int]:
+        return [leg for leg in self.leg_ids if x[self.art_vars[leg]] > 1e-6]

@@ -16,11 +16,15 @@ fleet budget row caps that sum; forcing rows require chosen connections to
 be flown, which is how crew-side short connections are imposed.
 
 A ``RoutingSession`` builds the graph and the model without forcing rows
-once per week and budget. Each solve appends its forcing rows, runs the
-MIP and deletes the rows again. The root LP basis of the session's last
-unforced solve, with the slacks of the forcing rows added, starts every
-later forced solve, so the integrated loop re-solves one model instead of
-rebuilding it. ``solve_routing`` without a session, and
+once per week and budget. Each solve checks its forced keys against the
+week's connections, so an unknown key is a ``ValueError`` even on a week
+that no routing can fly, then appends its forcing rows, runs the MIP and
+deletes the rows again; ``build_ar_model`` itself has no forcing rows. The
+root LP basis of the session's last unforced solve, with the slacks of the
+forcing rows added, starts every later forced solve, so the integrated
+loop re-solves one model instead of rebuilding it. Routing holds no cuts:
+they live in the loop's pairing session, and routing only sees each
+iteration's forced S. ``solve_routing`` without a session, and
 ``minimize_aircraft``, open a throwaway session and solve cold.
 """
 
@@ -109,14 +113,9 @@ def build_routing_graph(
 
 
 def build_ar_model(
-    graph: RoutingGraph,
-    budget: int | None,
-    forced: list[tuple[int, int]],
+    graph: RoutingGraph, budget: int | None
 ) -> tuple[LinearProgram, list[int]]:
-    """Flow + cover + budget + forcing rows over binary arc variables.
-
-    ``forced`` holds sorted connection keys, each flown at least once.
-    """
+    """Flow + cover + budget rows over binary arc variables."""
     lp = LinearProgram()
     x = [lp.add_variable(obj=float(a.crossings), binary=True)
          for a in graph.arcs]
@@ -139,8 +138,6 @@ def build_ar_model(
         coefs = {x[i]: float(a.crossings)
                  for i, a in enumerate(graph.arcs) if a.crossings}
         lp.add_row(coefs, "<=", float(budget))
-
-    _add_forcing_rows(lp, graph, x, forced)
     return lp, x
 
 
@@ -153,8 +150,6 @@ def _add_forcing_rows(
     """Append one row per forced connection key: its arcs are flown at
     least once."""
     for key in forced:
-        if key not in graph.conn_keys:
-            raise ValueError(f"forced connection {key} does not exist")
         # A connection whose arcs were all dropped by the maintenance cap
         # yields an unsatisfiable row, i.e. a proof of infeasibility.
         coefs = {x[i]: 1.0 for i in graph.arcs_of_conn.get(key, [])}
@@ -256,13 +251,16 @@ class RoutingSession:
         self.lp: LinearProgram | None = None
         self.x: list[int] = []
         if not self.gaps:
-            self.lp, self.x = build_ar_model(self.graph, budget, [])
+            self.lp, self.x = build_ar_model(self.graph, budget)
         # Root LP basis of the last unforced solve, the start of forced ones.
         self.basis: Basis | None = None
 
     def solve(self, forced=(), node_limit: int = 200_000) -> RoutingResult:
         """Route the week with every connection key in ``forced`` flown."""
         forced_keys = sorted({tuple(k) for k in forced})
+        for key in forced_keys:
+            if key not in self.graph.conn_keys:
+                raise ValueError(f"forced connection {key} does not exist")
         if self.gaps:
             return RoutingResult(status="infeasible", n_aircraft=None,
                                  routes=[], forced=forced_keys,

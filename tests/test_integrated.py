@@ -37,13 +37,20 @@ def _overcut(n_a: int):
 
 
 def test_cut_rhs_by_gamma():
+    # a cut row counts short connections of binary columns, an integer, so
+    # gamma < 1 rounds gamma * |S| down; never above the no-good |S| - 1
     s4 = frozenset({(0, 1), (2, 3), (4, 5), (6, 7)})
     assert cut_for(s4, 1.0).rhs == 3.0
-    assert cut_for(s4, 0.9).rhs == pytest.approx(3.6)
+    assert cut_for(s4, 0.9).rhs == 3.0
     s10 = frozenset((i, i + 1) for i in range(10))
-    assert cut_for(s10, 0.9).rhs == pytest.approx(9.0)
+    assert cut_for(s10, 0.9).rhs == 9.0
     assert cut_for(s10, 1.0).rhs == 9.0
-    assert cut_for(frozenset({(1, 2)}), 0.6).rhs == pytest.approx(0.6)
+    assert cut_for(frozenset({(1, 2)}), 0.6).rhs == 0.0
+    assert cut_for(frozenset({(1, 2)}), 1.0 - 1e-12).rhs == 0.0
+    # 0.58 * 50 evaluates to 28.999999999999996, a hair below 29
+    s50 = frozenset((i, i + 1) for i in range(50))
+    assert 0.58 * 50 < 29
+    assert cut_for(s50, 0.58).rhs == 29.0
     assert cut_for(s4, 1.0).conns == s4
 
 
@@ -122,6 +129,19 @@ def test_relaxed_cuts_saturate(looping_week):
         "connections": sorted(list(k) for k in first.conns), "rhs": 3.0}
     assert res.log[0]["ar_status"] == "infeasible"
     assert res.log[0]["cut_rhs"] == pytest.approx(3.0)
+    assert res.log[-1]["cp_status"] == "infeasible"
+
+
+def test_rounded_relaxed_cuts_over_cut_within_the_node_limit(looping_week):
+    # gamma = 0.9 cuts floor(0.9 |S|), which admits the same integer crew
+    # plans as the fractional 0.9 |S| but tightens the master LP: the loop
+    # over-cuts in six iterations, and no master MIP reaches the node limit
+    res = solve_integrated(looping_week, gamma=0.9, node_limit=2000)
+    assert res.status == "limit"
+    assert res.over_cut
+    assert res.iterations == 6
+    assert [c.rhs for c in res.cuts] == [
+        math.floor(0.9 * len(c.conns)) for c in res.cuts]
     assert res.log[-1]["cp_status"] == "infeasible"
 
 
@@ -251,15 +271,16 @@ def test_report_shape_and_determinism(toy2):
 
 
 def _traced_loop(monkeypatch, inst, gamma=1.0):
-    """Run the loop and record each pairing call's cuts and result."""
+    """Run the loop and record each pairing call's session cuts and result."""
     import crewroute.integrated as integrated
 
     calls = []
     solve = integrated.solve_crew_pairing
 
     def traced(*args, **kwargs):
+        cuts = kwargs["session"].cuts
         res = solve(*args, **kwargs)
-        calls.append((kwargs["cuts"], res))
+        calls.append((cuts, res))
         return res
 
     monkeypatch.setattr(integrated, "solve_crew_pairing", traced)
@@ -319,7 +340,7 @@ def test_loop_routes_through_one_session(monkeypatch, looping_week):
     def traced(*args, **kwargs):
         res = solve(*args, **kwargs)
         session = kwargs["session"]
-        lp, _ = fresh_model(session.graph, session.budget, [])
+        lp, _ = fresh_model(session.graph, session.budget)
         assert session.lp.columns == lp.columns
         assert session.lp.rhs == lp.rhs
         assert session.lp.relations == lp.relations
@@ -391,15 +412,19 @@ def test_loop_calls_the_pairing_solver_once_per_iteration(monkeypatch,
 
 
 def test_session_iterations_match_fresh_solves(monkeypatch, looping_week):
-    # each resumed solve reaches the status and objective of a fresh solve
-    # under the same cuts, in fewer column-generation rounds after the first
-    # (gamma=0.9 on this week runs for minutes, see CHANGES.md)
-    for gamma in (1.0, 0.5):
+    # each resumed solve reaches the status and objective of a fresh session
+    # given the same cuts, in fewer column-generation rounds after the first
+    from crewroute.pairing import PairingSession
+
+    for gamma in (1.0, 0.9, 0.5):
         _, calls = _traced_loop(monkeypatch, looping_week, gamma)
         assert len(calls) >= 2
         resumed_rounds = fresh_rounds = 0
         for k, (cuts, got) in enumerate(calls):
-            fresh = solve_crew_pairing(looping_week, cuts=cuts)
+            session = PairingSession(looping_week)
+            for cut in cuts:
+                session.add_cut(cut)
+            fresh = session.solve()
             assert got.status == fresh.status
             assert got.objective == pytest.approx(fresh.objective, abs=1e-6)
             assert got.provably_optimal == fresh.provably_optimal
@@ -409,16 +434,17 @@ def test_session_iterations_match_fresh_solves(monkeypatch, looping_week):
         assert resumed_rounds < fresh_rounds
 
 
-def test_session_rejects_a_foreign_cut_sequence(overcut):
+def test_session_solves_under_its_own_cuts(overcut):
+    # solve_crew_pairing resumes a session under the cuts added to it, and a
+    # session of another instance is an input error
     from crewroute.pairing import PairingSession
 
     session = PairingSession(overcut)
     cut = cut_for(frozenset({(0, 2), (3, 1)}), 1.0)
-    other = cut_for(frozenset({(0, 2)}), 1.0)
-    first = solve_crew_pairing(overcut, cuts=(cut,), session=session)
+    assert solve_crew_pairing(overcut, session=session).status == "optimal"
+    session.add_cut(cut)
+    first = solve_crew_pairing(overcut, session=session)
     assert first.status == "infeasible"
     assert session.cuts == (cut,)
-    with pytest.raises(ValueError, match="cut sequence"):
-        solve_crew_pairing(overcut, cuts=(other,), session=session)
     with pytest.raises(ValueError, match="another instance"):
-        solve_crew_pairing(_overcut(2), cuts=(cut,), session=session)
+        solve_crew_pairing(_overcut(2), session=session)

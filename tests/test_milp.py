@@ -368,7 +368,9 @@ def _random_master(rng: random.Random) -> MasterProblem:
     conns = [(a, b) for a in master_legs for b in master_legs if a != b]
     cuts = tuple(CutRow(frozenset(rng.sample(conns, 6)), 1.0)
                  for _ in range(3))
-    master = MasterProblem(inst, cuts)
+    master = MasterProblem(inst)
+    for cut in cuts:
+        master.add_cut(cut)
     for k in range(30):
         legs = rng.sample(master.leg_ids, rng.randrange(2, 6))
         duties = (tuple(legs[:1]), tuple(legs[1:]))
@@ -484,7 +486,7 @@ def test_lp_matches_highs():
 
     for n_legs, n_aircraft in ((40, 4), (60, 6)):
         inst = generate_instance(6, 2, n_legs, n_aircraft, 7)
-        lp, _ = build_ar_model(build_routing_graph(inst), inst.rules.n_a, {})
+        lp, _ = build_ar_model(build_routing_graph(inst), inst.rules.n_a)
         assert _assert_agrees_with_highs(lp) == "optimal"
 
     rng = random.Random(41)
@@ -838,7 +840,11 @@ def _assert_triangular_crash(lp: LinearProgram) -> None:
 
 
 def test_crash_basis_is_triangular_and_installs():
-    from crewroute.routing import build_ar_model, build_routing_graph
+    from crewroute.routing import (
+        _add_forcing_rows,
+        build_ar_model,
+        build_routing_graph,
+    )
 
     rng = random.Random(71)
     models = [_random_lp(rng, rng.randrange(3, 8), rng.randrange(2, 8),
@@ -849,9 +855,10 @@ def test_crash_basis_is_triangular_and_installs():
     for n_legs, n_aircraft in ((40, 4), (60, 6)):
         inst = generate_instance(6, 2, n_legs, n_aircraft, 7)
         graph = build_routing_graph(inst)
-        forced = sorted(graph.conn_keys)[:3]
-        models.append(build_ar_model(graph, inst.rules.n_a, forced)[0])
-        models.append(build_ar_model(graph, None, [])[0])
+        lp, x = build_ar_model(graph, inst.rules.n_a)
+        _add_forcing_rows(lp, graph, x, sorted(graph.conn_keys)[:3])
+        models.append(lp)
+        models.append(build_ar_model(graph, None)[0])
     models.append(_random_master(rng).lp)
     structural = 0
     for lp in models:

@@ -154,11 +154,10 @@ def test_cost_long_duty_balance():
 
 def test_cost_counts_long_duties_everywhere():
     alg = _alg(nu=-1.0, beta=0.0)
-    assert alg.n_long_duties(_q(one_core(4, 0))) == 1
-    assert alg.n_long_duties(_q(one_core(3, 0))) == 0
-    q = _q(multi_core(4, 0, 4, 0, 2))
-    assert alg.n_long_duties(q) == 4
-    assert alg.cost(q) == pytest.approx(4.0)
+    # with nu = -1 and beta = 0 the cost is the long-duty count
+    assert alg.cost(_q(one_core(4, 0))) == pytest.approx(1.0)
+    assert alg.cost(_q(one_core(3, 0))) == pytest.approx(0.0)
+    assert alg.cost(_q(multi_core(4, 0, 4, 0, 2))) == pytest.approx(4.0)
 
 
 def test_duals_clamped_non_positive():

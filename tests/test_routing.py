@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from conftest import airport, leg, make_instance, minutes
 from crewroute.generate import generate_instance
-from crewroute.instance import WEEK_MINUTES, build_connections
+from crewroute.instance import WEEK_MINUTES, FlightLeg, build_connections
 from crewroute.oracles import routing_brute_force
 from crewroute.routing import (
+    _add_forcing_rows,
     build_ar_model,
     build_routing_graph,
     minimize_aircraft,
@@ -102,14 +104,15 @@ def test_away_overnights_advance_k():
 
 def test_model_row_and_column_counts(toy2):
     g = build_routing_graph(toy2)
-    lp, x = build_ar_model(g, budget=1, forced=[])
+    lp, x = build_ar_model(g, budget=1)
     # flow rows per (leg, k) vertex, one cover row per leg, one budget row
     assert lp.n_rows == 6 + 2 + 1
     assert lp.n_vars == len(x) == 6
-    lp2, _ = build_ar_model(g, budget=None, forced=[])
+    lp2, _ = build_ar_model(g, budget=None)
     assert lp2.n_rows == 8
-    lp3, _ = build_ar_model(g, budget=1, forced=[(0, 1)])
-    assert lp3.n_rows == 10
+    # a forced solve adds one row per forced key
+    _add_forcing_rows(lp, g, x, [(0, 1)])
+    assert lp.n_rows == 10
 
 
 def test_row_count_formula_random():
@@ -117,7 +120,7 @@ def test_row_count_formula_random():
         inst = generate_instance(n_airports=4, n_bases=2, n_legs=10,
                                  n_aircraft=3, seed=seed)
         g = build_routing_graph(inst)
-        lp, x = build_ar_model(g, budget=3, forced=[])
+        lp, x = build_ar_model(g, budget=3)
         T = inst.rules.T
         n = len(inst.legs)
         assert lp.n_rows == n * T + n + 1
@@ -125,9 +128,19 @@ def test_row_count_formula_random():
 
 
 def test_forced_unknown_connection_rejected(toy2):
-    g = build_routing_graph(toy2)
     with pytest.raises(ValueError, match="does not exist"):
-        build_ar_model(g, budget=1, forced=[(5, 6)])
+        solve_routing(toy2, forced=[(5, 6)])
+    # a leg that no connection reaches makes a week infeasible, but an
+    # unknown forced key is still an input error, checked first
+    inst = generate_instance(n_airports=4, n_bases=2, n_legs=16,
+                             n_aircraft=3, seed=0)
+    lone = FlightLeg(999, "A03", "A02", 100, 160)
+    inst = dataclasses.replace(inst, legs=inst.legs + (lone,))
+    routed = solve_routing(inst)
+    assert routed.status == "infeasible"
+    assert 999 in routed.uncoverable_legs
+    with pytest.raises(ValueError, match="does not exist"):
+        solve_routing(inst, forced=[(12345, 54321)])
 
 
 # ---------------------------------------------------------------------------
