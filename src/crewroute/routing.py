@@ -15,6 +15,15 @@ the route takes, and one aircraft is needed per week of route span. The
 fleet budget row caps that sum; forcing rows require chosen connections to
 be flown, which is how crew-side short connections are imposed.
 
+Only arcs on a directed cycle of the (leg, k) graph enter the model: an arc
+is kept when its two ends lie in one strongly connected component. A
+routing is a circulation, and every circulation splits into cycles (flow
+decomposition), so an arc on no cycle carries no flow in any LP or MIP
+solution, and dropping it is exact. A vertex left without arcs gets no
+flow row. A leg left without arcs keeps an empty cover row, which the LP
+proves infeasible. ``uncoverable_legs`` is found before the pruning, so it
+still names only the legs with no arc in or out under the maintenance cap.
+
 A ``RoutingSession`` builds the graph and the model without forcing rows
 once per week and budget. Each solve checks its forced keys against the
 week's connections, so an unknown key is a ``ValueError`` even on a week
@@ -30,7 +39,6 @@ iteration's forced S. ``solve_routing`` without a session, and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .instance import (
@@ -60,6 +68,9 @@ class RoutingGraph:
     out_arcs_of_leg: dict[int, list[int]]
     arcs_of_conn: dict[tuple[int, int], list[int]]
     conn_keys: set[tuple[int, int]]
+    # Legs with no arc in or no arc out under the maintenance cap, found
+    # before the arcs on no cycle are dropped.
+    uncoverable_legs: list[int]
 
 
 def weekly_crossings(start: int, length: int, instant: int = 0) -> int:
@@ -72,9 +83,54 @@ def weekly_crossings(start: int, length: int, instant: int = 0) -> int:
     return 1 + (length - 1 - d0) // WEEK_MINUTES
 
 
+def _components(succ: list[list[int]]) -> list[int]:
+    """Strongly connected component of every vertex of the adjacency lists
+    ``succ``: Tarjan's algorithm with an explicit stack instead of
+    recursion."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    stack: list[int] = []
+    count = n_comp = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0:  # w is on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = n_comp
+                        if w == v:
+                            break
+                    n_comp += 1
+    return comp
+
+
 def build_routing_graph(
     inst: Instance, connections: list[Connection] | None = None
 ) -> RoutingGraph:
+    """The (leg, k) graph, keeping only the arcs that lie on a directed
+    cycle (see the module docstring)."""
     if connections is None:
         connections = build_connections(inst)
     legs = {l.id: l for l in inst.legs}
@@ -85,15 +141,18 @@ def build_routing_graph(
         for k in range(1, t_max + 1):
             vertex_of[(leg.id, k)] = len(vertex_of)
 
-    arcs: list[RoutingArc] = []
-    in_arcs: dict[int, list[int]] = {l.id: [] for l in inst.legs}
-    out_arcs: dict[int, list[int]] = {l.id: [] for l in inst.legs}
-    arcs_of_conn: dict[tuple[int, int], list[int]] = {}
+    # (tail vertex, head vertex, connection, k, k2, crossings) of every arc
+    # under the maintenance cap
+    candidates: list[tuple] = []
+    succ: list[list[int]] = [[] for _ in vertex_of]
     for c in connections:
         tail = legs[c.from_leg]
         cross = weekly_crossings(tail.dep_time,
                                  tail.flying_minutes + c.ground_minutes)
         at_base = inst.airport(tail.arr_airport).is_base
+        # the vertices of a leg are numbered k = 1..T in a row
+        u0 = vertex_of[(c.from_leg, 1)] - 1
+        v0 = vertex_of[(c.to_leg, 1)] - 1
         for k in range(1, t_max + 1):
             if c.midnights_crossed == 0:
                 k2 = k
@@ -103,13 +162,30 @@ def build_routing_graph(
                 k2 = k + c.midnights_crossed
                 if k2 > t_max:
                     continue
-            aid = len(arcs)
-            arcs.append(RoutingArc(c, k, k2, cross))
-            in_arcs[c.to_leg].append(aid)
-            out_arcs[c.from_leg].append(aid)
-            arcs_of_conn.setdefault(c.key, []).append(aid)
+            succ[u0 + k].append(v0 + k2)
+            candidates.append((u0 + k, v0 + k2, c, k, k2, cross))
+
+    heads = {c.to_leg for _, _, c, _, _, _ in candidates}
+    tails = {c.from_leg for _, _, c, _, _, _ in candidates}
+    uncoverable = sorted(l.id for l in inst.legs
+                         if l.id not in heads or l.id not in tails)
+
+    comp = _components(succ)
+    arcs: list[RoutingArc] = []
+    in_arcs: dict[int, list[int]] = {l.id: [] for l in inst.legs}
+    out_arcs: dict[int, list[int]] = {l.id: [] for l in inst.legs}
+    arcs_of_conn: dict[tuple[int, int], list[int]] = {}
+    for u, v, c, k, k2, cross in candidates:
+        if comp[u] != comp[v]:
+            continue
+        aid = len(arcs)
+        arcs.append(RoutingArc(c, k, k2, cross))
+        in_arcs[c.to_leg].append(aid)
+        out_arcs[c.from_leg].append(aid)
+        arcs_of_conn.setdefault(c.key, []).append(aid)
     return RoutingGraph(inst, arcs, vertex_of, in_arcs, out_arcs, arcs_of_conn,
-                        conn_keys={c.key for c in connections})
+                        conn_keys={c.key for c in connections},
+                        uncoverable_legs=uncoverable)
 
 
 def build_ar_model(
@@ -120,13 +196,12 @@ def build_ar_model(
     x = [lp.add_variable(obj=float(a.crossings), binary=True)
          for a in graph.arcs]
 
-    flow: dict[tuple[int, int], dict[int, float]] = {
-        key: {} for key in graph.vertex_of
-    }
-    for i, a in enumerate(graph.arcs):
-        flow[(a.conn.to_leg, a.k_to)][x[i]] = flow[(a.conn.to_leg, a.k_to)].get(x[i], 0.0) + 1.0
-        tail_key = (a.conn.from_leg, a.k_from)
-        flow[tail_key][x[i]] = flow[tail_key].get(x[i], 0.0) - 1.0
+    # One flow row per vertex that a kept arc enters or leaves. A connection
+    # joins two different legs, so no arc enters the vertex it leaves.
+    flow: dict[tuple[int, int], dict[int, float]] = {}
+    for j, a in zip(x, graph.arcs):
+        flow.setdefault((a.conn.to_leg, a.k_to), {})[j] = 1.0
+        flow.setdefault((a.conn.from_leg, a.k_from), {})[j] = -1.0
     for key in sorted(flow):
         lp.add_row(flow[key], "=", 0.0)
 
@@ -150,8 +225,9 @@ def _add_forcing_rows(
     """Append one row per forced connection key: its arcs are flown at
     least once."""
     for key in forced:
-        # A connection whose arcs were all dropped by the maintenance cap
-        # yields an unsatisfiable row, i.e. a proof of infeasibility.
+        # A connection whose arcs were all dropped, by the maintenance cap
+        # or for lying on no cycle, yields an unsatisfiable row, i.e. a
+        # proof of infeasibility.
         coefs = {x[i]: 1.0 for i in graph.arcs_of_conn.get(key, [])}
         lp.add_row(coefs, ">=", 1.0)
 
@@ -228,12 +304,6 @@ def _extract_routes(graph: RoutingGraph, x) -> list[Route]:
     return routes
 
 
-def _structural_gaps(graph: RoutingGraph) -> list[int]:
-    bad = [leg for leg, lst in graph.in_arcs_of_leg.items() if not lst]
-    bad += [leg for leg, lst in graph.out_arcs_of_leg.items() if not lst]
-    return sorted(set(bad))
-
-
 class RoutingSession:
     """The routing graph and arc-flow model of one week under one budget,
     kept across solves that force different connections.
@@ -247,10 +317,9 @@ class RoutingSession:
         self.inst = inst
         self.budget = budget
         self.graph = build_routing_graph(inst, connections)
-        self.gaps = _structural_gaps(self.graph)
         self.lp: LinearProgram | None = None
         self.x: list[int] = []
-        if not self.gaps:
+        if not self.graph.uncoverable_legs:
             self.lp, self.x = build_ar_model(self.graph, budget)
         # Root LP basis of the last unforced solve, the start of forced ones.
         self.basis: Basis | None = None
@@ -261,10 +330,11 @@ class RoutingSession:
         for key in forced_keys:
             if key not in self.graph.conn_keys:
                 raise ValueError(f"forced connection {key} does not exist")
-        if self.gaps:
+        gaps = self.graph.uncoverable_legs
+        if gaps:
             return RoutingResult(status="infeasible", n_aircraft=None,
                                  routes=[], forced=forced_keys,
-                                 uncoverable_legs=self.gaps)
+                                 uncoverable_legs=gaps)
 
         lp = self.lp
         n_rows = lp.n_rows

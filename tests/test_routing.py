@@ -10,6 +10,7 @@ import pytest
 from conftest import airport, leg, make_instance, minutes
 from crewroute.generate import generate_instance
 from crewroute.instance import WEEK_MINUTES, FlightLeg, build_connections
+from crewroute.milp.model import LinearProgram
 from crewroute.oracles import routing_brute_force
 from crewroute.routing import (
     _add_forcing_rows,
@@ -19,6 +20,7 @@ from crewroute.routing import (
     solve_routing,
     weekly_crossings,
 )
+from test_milp import _highs_lp
 
 
 def _four_cycle(T: int):
@@ -80,12 +82,14 @@ def test_toy_graph_shape(toy2):
     # two legs at T=3 give six (leg, k) vertices
     assert len(g.vertex_of) == 6
     assert set(g.conn_keys) == {(0, 1), (1, 0)}
-    # the same-day turnaround keeps k, one arc per k
+    # the same-day turnaround keeps k and the overnight at the base resets
+    # k to 1, so only the k = 1 arcs lie on a cycle: from k = 2 or 3 the
+    # turnaround leads to k = 1, which never returns to k = 2 or 3
     assert [(a.k_from, a.k_to) for a in g.arcs
-            if a.conn.key == (0, 1)] == [(1, 1), (2, 2), (3, 3)]
-    # the overnight at the base resets k to 1 from every k
+            if a.conn.key == (0, 1)] == [(1, 1)]
     assert [(a.k_from, a.k_to) for a in g.arcs
-            if a.conn.key == (1, 0)] == [(1, 1), (2, 1), (3, 1)]
+            if a.conn.key == (1, 0)] == [(1, 1)]
+    assert g.uncoverable_legs == []
     for a in g.arcs:
         assert a.crossings == (1 if a.conn.key == (1, 0) else 0)
 
@@ -105,14 +109,15 @@ def test_away_overnights_advance_k():
 def test_model_row_and_column_counts(toy2):
     g = build_routing_graph(toy2)
     lp, x = build_ar_model(g, budget=1)
-    # flow rows per (leg, k) vertex, one cover row per leg, one budget row
-    assert lp.n_rows == 6 + 2 + 1
-    assert lp.n_vars == len(x) == 6
+    # flow rows for the two (leg, 1) vertices that keep arcs, one cover
+    # row per leg, one budget row
+    assert lp.n_rows == 2 + 2 + 1
+    assert lp.n_vars == len(x) == 2
     lp2, _ = build_ar_model(g, budget=None)
-    assert lp2.n_rows == 8
+    assert lp2.n_rows == 4
     # a forced solve adds one row per forced key
     _add_forcing_rows(lp, g, x, [(0, 1)])
-    assert lp.n_rows == 10
+    assert lp.n_rows == 6
 
 
 def test_row_count_formula_random():
@@ -121,10 +126,100 @@ def test_row_count_formula_random():
                                  n_aircraft=3, seed=seed)
         g = build_routing_graph(inst)
         lp, x = build_ar_model(g, budget=3)
-        T = inst.rules.T
+        live = {(a.conn.from_leg, a.k_from) for a in g.arcs}
+        live |= {(a.conn.to_leg, a.k_to) for a in g.arcs}
         n = len(inst.legs)
-        assert lp.n_rows == n * T + n + 1
+        # a flow row per vertex that keeps an arc, a cover row per leg
+        assert lp.n_rows == len(live) + n + 1
         assert lp.n_vars == len(g.arcs)
+
+
+def _every_arc(inst):
+    """(connection, k_from, k_to) of every (leg, k) arc, none pruned."""
+    t_max = inst.rules.T
+    out = []
+    for c in build_connections(inst):
+        at_base = inst.airport(inst.leg(c.from_leg).arr_airport).is_base
+        for k in range(1, t_max + 1):
+            if c.midnights_crossed == 0:
+                k2 = k
+            elif at_base:
+                k2 = 1
+            else:
+                k2 = k + c.midnights_crossed
+            if k2 <= t_max:
+                out.append((c, k, k2))
+    return out
+
+
+def _reaches(arcs, source, target) -> bool:
+    succ: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for c, k, k2 in arcs:
+        succ.setdefault((c.from_leg, k), []).append((c.to_leg, k2))
+    seen, todo = {source}, [source]
+    while todo:
+        for w in succ.get(todo.pop(), []):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return target in seen
+
+
+def _full_model(inst, arcs, budget):
+    """The arc-flow model over every arc: a flow row per (leg, k) vertex,
+    a cover row per leg and the budget row."""
+    lp = LinearProgram()
+    x = []
+    flow = {(l.id, k): {} for l in inst.legs
+            for k in range(1, inst.rules.T + 1)}
+    for c, k, k2 in arcs:
+        tail = inst.leg(c.from_leg)
+        j = lp.add_variable(
+            obj=float(weekly_crossings(tail.dep_time,
+                                       tail.flying_minutes + c.ground_minutes)),
+            binary=True)
+        x.append(j)
+        flow[(c.to_leg, k2)][j] = 1.0
+        flow[(c.from_leg, k)][j] = -1.0
+    for key in sorted(flow):
+        lp.add_row(flow[key], "=", 0.0)
+    for leg_id in sorted(l.id for l in inst.legs):
+        lp.add_row({j: 1.0 for j, (c, _, _) in zip(x, arcs)
+                    if c.to_leg == leg_id}, "=", 1.0)
+    if budget is not None:
+        lp.add_row({j: lp.obj[j] for j in x if lp.obj[j]}, "<=", float(budget))
+    return lp
+
+
+def test_pruning_keeps_exactly_the_arcs_on_cycles():
+    # an arc is kept exactly when its tail is reachable from its head over
+    # the unpruned arcs, and pruning leaves every LP relaxation optimum as is
+    pruned, seen = 0, set()
+    for T in (1, 2, 3):
+        for seed in range(8):
+            inst = generate_instance(n_airports=5, n_bases=2, n_legs=14,
+                                     n_aircraft=2, seed=seed,
+                                     rules_overrides={"T": T})
+            every = _every_arc(inst)
+            on_cycle = [a for a in every
+                        if _reaches(every, (a[0].to_leg, a[2]),
+                                    (a[0].from_leg, a[1]))]
+            g = build_routing_graph(inst)
+            assert [(a.conn, a.k_from, a.k_to) for a in g.arcs] == on_cycle
+            pruned += len(every) - len(on_cycle)
+            for budget in (inst.rules.n_a, None):
+                lp, _ = build_ar_model(g, budget)
+                got = _highs_lp(lp)
+                want = _highs_lp(_full_model(inst, every, budget))
+                assert got[0] == want[0]
+                if want[0] == "optimal":
+                    assert got[1] == pytest.approx(want[1], abs=1e-7)
+                seen.add(want[0])
+    # some weeks lose arcs, and some cannot be flown by the fleet
+    assert pruned > 0
+    assert seen == {"optimal", "infeasible"}
+    # the T=7 two-week rotation cannot close, so every arc goes
+    assert build_routing_graph(_four_cycle(T=7)).arcs == []
 
 
 def test_forced_unknown_connection_rejected(toy2):
