@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("instance")
     r.add_argument("--force", action="append", type=_parse_conn, default=[],
                    metavar="FROM,TO", help="connection the aircraft must fly")
-    r.add_argument("--budget", type=int, default=None,
+    r.add_argument("--budget", type=_parse_limit, default=None,
                    help="fleet size (default: instance value)")
     r.add_argument("--minimize", action="store_true",
                    help="drop the budget row and minimize aircraft")

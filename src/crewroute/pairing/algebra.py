@@ -1,6 +1,6 @@
 """Lattice ordered monoid encoding crew duty rules and pricing duals.
 
-A resource is ``(core, z, nights, rests, fly)``:
+A resource is ``(core, z, nights, rests)``:
 
 * ``core`` summarizes the duty structure of a leg sequence. ``ONE`` holds
   the adjusted leg counter and padded flying of a single open duty, ``MULTI``
@@ -15,7 +15,6 @@ A resource is ``(core, z, nights, rests, fly)``:
 * ``nights`` counts hotel nights, which decides whether a pairing is long.
 * ``rests`` counts overnight rests; duties = rests + 1. Its order is
   reversed (more rests never costs more), so meet takes the maximum.
-* ``fly`` carries total flying minutes for reporting.
 
 On a complete origin-destination path the scalar cost equals the exact
 reduced cost of the priced pairing column.
@@ -70,7 +69,7 @@ class PairingAlgebra(ResourceAlgebra):
         self.nu = min(nu, 0.0)
         self._mu_alpha = self.mu * alpha
         self._nu_beta = self.nu * beta
-        self._neutral = (one_core(0, 0), 0.0, 0, 0, 0)
+        self._neutral = (one_core(0, 0), 0.0, 0, 0)
 
     def with_duals(self, mu: float, nu: float) -> "PairingAlgebra":
         return PairingAlgebra(self.max_duty_legs, self.f_max, self.alpha,
@@ -99,8 +98,8 @@ class PairingAlgebra(ResourceAlgebra):
     # and signed zeros included.
 
     def combine(self, q1, q2):
-        c1, z1, n1, r1, f1 = q1
-        c2, z2, n2, r2, f2 = q2
+        c1, z1, n1, r1 = q1
+        c2, z2, n2, r2 = q2
         t1, t2 = c1[0], c2[0]
         if t1 == 0 or t2 == 0:
             core = BOT
@@ -120,15 +119,14 @@ class PairingAlgebra(ResourceAlgebra):
             else:
                 core = (2, c1[1], c1[2], c2[3], c2[4],
                         c1[5] + c2[5] + (1 if legs > LONG_DUTY_LEGS else 0))
-        return (core, z1 + z2, n1 + n2, r1 + r2, f1 + f2)
+        return (core, z1 + z2, n1 + n2, r1 + r2)
 
     @property
     def neutral(self):
         return self._neutral
 
     def leq(self, q1, q2) -> bool:
-        if not (q1[1] <= q2[1] and q1[2] <= q2[2] and q1[3] >= q2[3]
-                and q1[4] <= q2[4]):
+        if not (q1[1] <= q2[1] and q1[2] <= q2[2] and q1[3] >= q2[3]):
             return False
         c1, c2 = q1[0], q2[0]
         t1, t2 = c1[0], c2[0]
@@ -144,8 +142,8 @@ class PairingAlgebra(ResourceAlgebra):
         return True
 
     def meet(self, q1, q2):
-        c1, z1, n1, r1, f1 = q1
-        c2, z2, n2, r2, f2 = q2
+        c1, z1, n1, r1 = q1
+        c2, z2, n2, r2 = q2
         t1, t2 = c1[0], c2[0]
         if t1 == 0 or t2 == 0:
             core = BOT
@@ -158,7 +156,7 @@ class PairingAlgebra(ResourceAlgebra):
         else:
             core = tuple(map(min, c1, c2))
         return (core, z2 if z2 < z1 else z1, n2 if n2 < n1 else n1,
-                r2 if r2 > r1 else r1, f2 if f2 < f1 else f1)
+                r2 if r2 > r1 else r1)
 
     def join(self, q1, q2):
         return (
@@ -166,11 +164,10 @@ class PairingAlgebra(ResourceAlgebra):
             max(q1[1], q2[1]),
             max(q1[2], q2[2]),
             min(q1[3], q2[3]),
-            max(q1[4], q2[4]),
         )
 
     def cost(self, q) -> float:
-        core, z, nights, rests, _fly = q
+        core, z, nights, rests = q
         t = core[0]
         if t == 3:
             return math.inf
@@ -202,7 +199,7 @@ class PairingAlgebra(ResourceAlgebra):
         part`` by more than ``SCAN_MARGIN`` times the magnitude of the
         terms: no later state can cost less than ``best``, rounding
         included."""
-        qc, zq, nq, rq, _fly = q
+        qc, zq, nq, rq = q
         tq = qc[0]
         max_legs, f_max = self.max_duty_legs, self.f_max
         mu, mu_alpha, nu, beta = self.mu, self._mu_alpha, self.nu, self.beta
@@ -226,7 +223,7 @@ class PairingAlgebra(ResourceAlgebra):
         if ordered:
             part = (zq + mu_alpha) + nub * (rq + 1)
         for s in states:
-            bc, zb, nb, rb, _ = bounds[s]
+            bc, zb, nb, rb = bounds[s]
             floor = zb + nub * rb
             if floor > stop and floor - stop > SCAN_MARGIN * (
                     abs(zq) + abs(mu_alpha) + abs(nub) * (rq + 1)
@@ -291,15 +288,15 @@ class PairingAlgebra(ResourceAlgebra):
         as ``combine`` would form them, keeping the first of equal z as
         ``meet`` does, and the core is met by type."""
         max_legs, f_max = self.max_duty_legs, self.f_max
-        z = nights = fly = math.inf
+        z = nights = math.inf
         rests = -math.inf
         # type of the met core: -1 before any member, 0 BOT, 1 ONE, 2 MULTI,
         # 3 TOP; m1..m5 hold its componentwise minima
         t = -1
         m1 = m2 = m3 = m4 = m5 = 0
         for a, s in cands:
-            ca, za, na, ra, fa = resources[a]
-            cb, zb, nb, rb, fb = bounds[s]
+            ca, za, na, ra = resources[a]
+            cb, zb, nb, rb = bounds[s]
             x = za + zb
             if x < z:
                 z = x
@@ -309,9 +306,6 @@ class PairingAlgebra(ResourceAlgebra):
             x = ra + rb
             if x > rests:
                 rests = x
-            x = fa + fb
-            if x < fly:
-                fly = x
             if t == 0:
                 continue
             ta, tb = ca[0], cb[0]
@@ -366,7 +360,7 @@ class PairingAlgebra(ResourceAlgebra):
             core = (1, m1, m2)
         else:
             core = (2, m1, m2, m3, m4, m5)
-        return (core, z, nights, rests, fly)
+        return (core, z, nights, rests)
 
     def infeasible(self, q) -> bool:
         core = q[0]
@@ -388,7 +382,7 @@ class PairingAlgebra(ResourceAlgebra):
 
     @staticmethod
     def with_scalar(q, s):
-        return (q[0], s, q[2], q[3], q[4])
+        return (q[0], s, q[2], q[3])
 
     @staticmethod
     def is_top(q) -> bool:

@@ -150,7 +150,7 @@ def arc_resources(
             f = leg.flying_minutes
             pad = f_max - rules.flying_limit(leg.dep_time)
             z = w.w_pairing + w.w_fly * f - leg_duals.get(leg.id, 0.0)
-            out.append((one_core(1, f + pad), z, 0, 0, f))
+            out.append((one_core(1, f + pad), z, 0, 0))
         elif kind == "d":
             out.append(algebra.neutral)
         else:
@@ -159,14 +159,14 @@ def arc_resources(
             f = leg.flying_minutes
             if kind == "day":
                 z = w.w_fly * f - leg_duals.get(leg.id, 0.0)
-                out.append((one_core(1, f), z, 0, 0, f))
+                out.append((one_core(1, f), z, 0, 0))
             else:
                 extra = rules.reduced_rest_extra if c.is_reduced_rest else 0
                 pad = f_max - rules.flying_limit(leg.dep_time)
                 z = (w.w_fly * f + w.w_hotel * c.midnights_crossed
                      - leg_duals.get(leg.id, 0.0))
                 core = multi_core(0, 0, 1 + extra, f + pad, 0)
-                out.append((core, z, c.midnights_crossed, 1, f))
+                out.append((core, z, c.midnights_crossed, 1))
     return out
 
 

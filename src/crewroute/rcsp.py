@@ -180,12 +180,14 @@ class AdditiveCapacityAlgebra(ResourceAlgebra):
 def resolve_kappa(kappa: int | str, n_vertices: int) -> int:
     """Apply the size-based default when kappa is 'auto'.
 
-    Any other value must be an integer; a bool or a float is a ValueError,
-    never truncated."""
+    Any other value must be an integer of at least 1; a bool or a float is
+    a ValueError, never truncated."""
     if kappa != "auto":
         if isinstance(kappa, bool) or not isinstance(kappa, int):
             raise ValueError(f"kappa must be an integer or 'auto', "
                              f"not {kappa!r}")
+        if kappa < 1:
+            raise ValueError(f"kappa must be at least 1, not {kappa}")
         return kappa
     if n_vertices < 100:
         return 1
@@ -372,8 +374,6 @@ def build_state_graph(graph: RcspGraph, algebra, kappa: int | str) -> StateGraph
     ``algebra.meet_of_combines``, without building a combine per
     candidate."""
     kap = resolve_kappa(kappa, len(graph.kept))
-    if kap < 1:
-        raise ValueError("kappa must be at least 1")
     resources = graph.resources
     states_of: list[list[int]] = [[] for _ in range(graph.n_vertices)]
     state_arcs: list[list[tuple[int, int]]] = []

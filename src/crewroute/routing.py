@@ -65,7 +65,6 @@ class RoutingGraph:
     arcs: list[RoutingArc]
     vertex_of: dict[tuple[int, int], int]
     in_arcs_of_leg: dict[int, list[int]]
-    out_arcs_of_leg: dict[int, list[int]]
     arcs_of_conn: dict[tuple[int, int], list[int]]
     conn_keys: set[tuple[int, int]]
     # Legs with no arc in or no arc out under the maintenance cap, found
@@ -173,7 +172,6 @@ def build_routing_graph(
     comp = _components(succ)
     arcs: list[RoutingArc] = []
     in_arcs: dict[int, list[int]] = {l.id: [] for l in inst.legs}
-    out_arcs: dict[int, list[int]] = {l.id: [] for l in inst.legs}
     arcs_of_conn: dict[tuple[int, int], list[int]] = {}
     for u, v, c, k, k2, cross in candidates:
         if comp[u] != comp[v]:
@@ -181,9 +179,8 @@ def build_routing_graph(
         aid = len(arcs)
         arcs.append(RoutingArc(c, k, k2, cross))
         in_arcs[c.to_leg].append(aid)
-        out_arcs[c.from_leg].append(aid)
         arcs_of_conn.setdefault(c.key, []).append(aid)
-    return RoutingGraph(inst, arcs, vertex_of, in_arcs, out_arcs, arcs_of_conn,
+    return RoutingGraph(inst, arcs, vertex_of, in_arcs, arcs_of_conn,
                         conn_keys={c.key for c in connections},
                         uncoverable_legs=uncoverable)
 

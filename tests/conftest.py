@@ -166,7 +166,6 @@ def random_resource(rng: random.Random) -> tuple:
         dyadic(rng),
         rng.randrange(0, 5),
         rng.randrange(0, 5),
-        rng.randrange(0, 900, 5),
     )
 
 
@@ -182,7 +181,6 @@ def worsen(rng: random.Random, q: tuple) -> tuple:
         q[1] + rng.randrange(0, 257) / 256.0,
         q[2] + rng.randrange(0, 2),
         max(0, q[3] - rng.randrange(0, 2)),
-        q[4] + rng.randrange(0, 10),
     )
 
 
@@ -217,10 +215,10 @@ def random_arc_resource(rng: random.Random) -> tuple:
     """Resource shaped like a single pricing arc, with a dyadic cost."""
     if rng.random() < 0.65:
         f = rng.randrange(30, 200, 5)
-        return (one_core(rng.randrange(1, 3), f), dyadic(rng), 0, 0, f)
+        return (one_core(rng.randrange(1, 3), f), dyadic(rng), 0, 0)
     f = rng.randrange(30, 200, 5)
     nights = rng.randrange(1, 3)
-    return (multi_core(0, 0, 1, f, 0), dyadic(rng), nights, 1, f)
+    return (multi_core(0, 0, 1, f, 0), dyadic(rng), nights, 1)
 
 
 def random_pairing_dag(rng: random.Random, max_v: int = 10,

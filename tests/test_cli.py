@@ -51,6 +51,7 @@ def test_bad_kappa_exits_two(capsys, toy2_path):
 
 @pytest.mark.parametrize("command, flag", [
     ("route", "--limit-nodes"),
+    ("route", "--budget"),
     ("pair", "--limit-paths"),
     ("integrated", "--iteration-limit"),
 ])

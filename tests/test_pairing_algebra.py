@@ -39,8 +39,8 @@ def _alg(**kw) -> PairingAlgebra:
     return PairingAlgebra(**args)
 
 
-def _q(core, z=0.0, nights=0, rests=0, fly=0):
-    return (core, z, nights, rests, fly)
+def _q(core, z=0.0, nights=0, rests=0):
+    return (core, z, nights, rests)
 
 
 # ---------------------------------------------------------------------------
@@ -89,16 +89,16 @@ def test_open_duty_closes_into_multi():
 
 def test_counters_add():
     alg = _alg()
-    q1 = (one_core(1, 60), 1.5, 1, 1, 60)
-    q2 = (one_core(1, 30), 2.5, 2, 1, 30)
-    assert alg.combine(q1, q2) == (one_core(2, 90), 4.0, 3, 2, 90)
+    q1 = (one_core(1, 60), 1.5, 1, 1)
+    q2 = (one_core(1, 30), 2.5, 2, 1)
+    assert alg.combine(q1, q2) == (one_core(2, 90), 4.0, 3, 2)
 
 
 def test_neutral_identity_examples():
     alg = _alg()
     e = alg.neutral
-    assert e == (one_core(0, 0), 0.0, 0, 0, 0)
-    q = (multi_core(1, 10, 2, 20, 1), 5.0, 2, 1, 30)
+    assert e == (one_core(0, 0), 0.0, 0, 0)
+    q = (multi_core(1, 10, 2, 20, 1), 5.0, 2, 1)
     assert alg.combine(e, q) == q
     assert alg.combine(q, e) == q
 
@@ -207,7 +207,6 @@ _RESOURCES = st.tuples(
     st.integers(-2048, 2048).map(lambda v: v / 256.0),
     st.integers(0, 4),
     st.integers(0, 4),
-    st.integers(0, 900),
 )
 
 

@@ -50,9 +50,10 @@ def test_resolve_kappa_auto_thresholds():
     assert resolve_kappa(7, 10) == 7
 
 
-@pytest.mark.parametrize("kappa", [2.7, 1.0, True, False, "7", None])
+@pytest.mark.parametrize("kappa", [2.7, 1.0, True, False, "7", None, 0, -3])
 def test_resolve_kappa_rejects_non_integers(kappa):
-    # the instance loader's rule: an integer or "auto", never truncated
+    # the instance loader's rule: an integer of at least 1 or "auto", never
+    # truncated
     with pytest.raises(ValueError):
         resolve_kappa(kappa, 10)
     g = RcspGraph(2, [(0, 1)], 0, 1, [(1.0, 0)])
@@ -180,11 +181,11 @@ def test_state_count_never_exceeds_kappa():
 
 
 def _ok(z):
-    return (one_core(1, 60), z, 0, 0, 60, ())
+    return (one_core(1, 60), z, 0, 0)
 
 
 def _top(z):
-    return (TOP, z, 0, 0, 0, ())
+    return (TOP, z, 0, 0)
 
 
 def _keys(ests, alg):
