@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import math
 
-from ..rcsp import ResourceAlgebra
+import numpy as np
+
+from ..rcsp import ResourceAlgebra, fold_min
 
 BOT = (0,)
 TOP = (3,)
@@ -38,6 +40,11 @@ LONG_PAIRING_NIGHTS = 3
 # best cost by this share of the magnitudes involved, some 10^6 times the
 # rounding of the few float operations that separate the bound from a cost.
 SCAN_MARGIN = 1e-9
+
+# to_array pads a core to its type and five components; the rows of the
+# type, the components, nights and rests, which are integers
+_PAD = {1: (0,) * 5, 3: (0,) * 3, 6: ()}
+_INT_ROWS = [0, 1, 2, 3, 4, 5, 7, 8]
 
 
 def one_core(legs: int, fly: int) -> tuple:
@@ -183,8 +190,10 @@ class PairingAlgebra(ResourceAlgebra):
                  + (1 if core[3] > LONG_DUTY_LEGS else 0))
         return c - self.nu * (g - self.beta * (rests + 1))
 
-    def completion_cost(self, q, bounds, states, ordered=False) -> float:
-        """``ResourceAlgebra.completion_cost`` in one pass, bit for bit.
+    def completion_cost(self, q, bounds, states, ordered=False,
+                        limit=math.inf) -> float:
+        """``ResourceAlgebra.completion_cost`` in one pass, bit for bit up
+        to ``limit``.
 
         For each bound the type, feasibility and long-duty count of the
         combined core are worked out without building it, and the cost is
@@ -194,11 +203,12 @@ class PairingAlgebra(ResourceAlgebra):
         mu*alpha and nu*beta*rests terms only adds, so ``cost(combine(q, b))
         >= part + floor`` with ``part = z_q + mu*alpha + nu*beta*(r_q + 1)``
         and ``floor = z_b + nu*beta*r_b``, the bound's ``floors`` entry,
-        whatever the core types. An ``ordered`` scan
-        therefore stops at the first state whose floor exceeds ``best -
-        part`` by more than ``SCAN_MARGIN`` times the magnitude of the
-        terms: no later state can cost less than ``best``, rounding
-        included."""
+        whatever the core types. An ``ordered`` scan therefore stops at the
+        first state whose floor exceeds ``bound - part`` by more than
+        ``SCAN_MARGIN`` times the magnitude of the terms, where ``bound`` is
+        the lesser of ``limit`` and the best cost found: no later state can
+        cost less than ``bound``, rounding included. When every cost is
+        above ``limit``, the scan may return any of them, or +inf."""
         qc, zq, nq, rq = q
         tq = qc[0]
         max_legs, f_max = self.max_duty_legs, self.f_max
@@ -215,19 +225,23 @@ class PairingAlgebra(ResourceAlgebra):
             dead = qc[1] > max_legs or qc[2] > f_max
             open_legs, open_fly = qc[3], qc[4]
             q_long = qc[5] + (1 if qc[1] > LONG_DUTY_LEGS else 0)
-        best = math.inf
-        # a state whose floor exceeds stop cannot beat best; +inf until a
-        # first cost is found, and always when the states are unordered
+        best = bound = math.inf
+        # a state whose floor exceeds stop cannot cost less than bound;
+        # stop is +inf while bound is, and always when the states are
+        # unordered
         stop = math.inf
         ordered = ordered and len(states) > 1
         if ordered:
             part = (zq + mu_alpha) + nub * (rq + 1)
+            if limit < bound:
+                bound = limit
+                stop = bound - part
         for s in states:
             bc, zb, nb, rb = bounds[s]
             floor = zb + nub * rb
             if floor > stop and floor - stop > SCAN_MARGIN * (
                     abs(zq) + abs(mu_alpha) + abs(nub) * (rq + 1)
-                    + abs(best) + abs(zb) + abs(nub * rb)):
+                    + abs(bound) + abs(zb) + abs(nub * rb)):
                 break
             tb = bc[0]
             if tq == 0 or tb == 0:
@@ -249,8 +263,9 @@ class PairingAlgebra(ResourceAlgebra):
             c -= nu * (g - beta * (rq + rb + 1))
             if c < best:
                 best = c
-                if ordered:
-                    stop = best - part
+                if ordered and c < bound:
+                    bound = c
+                    stop = bound - part
         return best
 
     def floors(self, bounds) -> list[float]:
@@ -259,28 +274,89 @@ class PairingAlgebra(ResourceAlgebra):
         nub = self._nu_beta
         return [b[1] + nub * b[3] for b in bounds]
 
-    # -- state-graph build: clustering keys and cluster bounds ----------------
+    # -- state-graph build: array kernels and the fused cluster bound --------
+    #
+    # A resource's column holds the core type (0 BOT, 1 ONE, 2 MULTI,
+    # 3 TOP), five core components (zero where the type has none), z,
+    # nights and rests. Components and counters are integers, exact in
+    # float64.
 
-    def candidate_keys(self, resources, bounds, cands):
-        """``ResourceAlgebra.candidate_keys`` without building a combine:
-        the scalar is ``z_a + z_b`` and the combined core is TOP when
-        neither core is BOT and one is TOP, or both are MULTI and the duty
-        they merge breaks a limit."""
-        max_legs, f_max = self.max_duty_legs, self.f_max
-        scalars = [resources[a][1] + bounds[s][1] for a, s in cands]
-        tops = []
-        arc = None
-        for a, s in cands:
-            if a != arc:
-                arc = a
-                ca = resources[a][0]
-                ta = ca[0]
-            cb = bounds[s][0]
-            tb = cb[0]
-            tops.append(ta != 0 and tb != 0 and (
-                ta == 3 or tb == 3 or (ta == 2 and tb == 2 and (
-                    ca[3] + cb[1] > max_legs or ca[4] + cb[2] > f_max))))
-        return scalars, tops
+    def to_array(self, qs) -> np.ndarray:
+        return np.array([c + _PAD[len(c)] + (z, n, r) for c, z, n, r in qs],
+                        dtype=np.float64).reshape(-1, 9).T
+
+    def from_array(self, arr) -> list:
+        out = []
+        for t, c1, c2, c3, c4, c5, n, r, z in zip(
+                *arr[_INT_ROWS].astype(np.int64).tolist(), arr[6].tolist()):
+            if t == 1:
+                core = (1, c1, c2)
+            elif t == 2:
+                core = (2, c1, c2, c3, c4, c5)
+            else:
+                core = BOT if t == 0 else TOP
+            out.append((core, z, n, r))
+        return out
+
+    def combine_array(self, arr1, arr2) -> np.ndarray:
+        """``combine`` by core case: a BOT core makes BOT, then a TOP core
+        TOP, and two MULTI cores make TOP when the duty they merge breaks a
+        limit."""
+        t1, t2 = arr1[0], arr2[0]
+        one1, one2 = t1 == 1, t2 == 1
+        legs = arr1[3] + arr2[1]
+        out = np.empty_like(arr1)
+        out[6:] = arr1[6:] + arr2[6:]
+        # ONE then ONE adds the open duties, ONE then MULTI extends the
+        # first duty of the second, MULTI then ONE the last duty of the
+        # first, and MULTI then MULTI closes a middle duty
+        out[1:3] = arr1[1:3] + arr2[1:3] * one1
+        out[3] = np.where(one2, legs, arr2[3])
+        out[4] = np.where(one2, arr1[4] + arr2[2], arr2[4])
+        out[5] = np.where(one1, arr2[5],
+                          np.where(one2, arr1[5],
+                                   arr1[5] + arr2[5]
+                                   + (legs > LONG_DUTY_LEGS)))
+        top = (t1 == 3) | (t2 == 3) | (
+            ~(one1 | one2) & ((legs > self.max_duty_legs)
+                              | (arr1[4] + arr2[2] > self.f_max)))
+        bot = (t1 == 0) | (t2 == 0)
+        t = np.where(bot, 0.0, np.where(top, 3.0, 2.0 - (one1 & one2)))
+        out[0] = t
+        # components only where the type has them
+        out[1:3] *= ~(bot | top)
+        out[3:6] *= t == 2
+        return out
+
+    @staticmethod
+    def candidate_keys(arr):
+        return arr[6], arr[0] == 3
+
+    @staticmethod
+    def meet_runs(arr, starts) -> np.ndarray:
+        """z, nights and the core components are met by their minima (z
+        signed as ``meet`` keeps the first of equal z), rests by its
+        maximum. The met core is BOT when a member's is or the members
+        that are neither BOT nor TOP mix ONE and MULTI, TOP when every
+        member's is, and otherwise of their type, by the minima of theirs.
+        """
+        t = arr[0]
+        out = np.empty((9, len(starts)))
+        # a member's type as a bit: BOT 1, ONE 2, MULTI 4, TOP none
+        bits = np.bitwise_or.reduceat(
+            np.array([1, 2, 4, 0], dtype=np.int8)[t.astype(np.intp)], starts)
+        met = np.where(bits == 2, 1.0, np.where(bits == 4, 2.0, 0.0))
+        met[bits == 0] = 3.0
+        out[0] = met
+        live = (t == 1) | (t == 2)
+        mins = np.minimum.reduceat(np.where(live, arr[1:6], np.inf), starts,
+                                   axis=1)
+        out[1:3] = np.where((met == 1) | (met == 2), mins[:2], 0.0)
+        out[3:6] = np.where(met == 2, mins[2:], 0.0)
+        out[6] = fold_min(arr[6], starts)
+        out[7] = np.minimum.reduceat(arr[7], starts)
+        out[8] = np.maximum.reduceat(arr[8], starts)
+        return out
 
     def meet_of_combines(self, resources, bounds, cands):
         """``ResourceAlgebra.meet_of_combines`` in one pass: each member's

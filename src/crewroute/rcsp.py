@@ -23,20 +23,26 @@ state bound is fixed when the state graph is built, and a round refreshes
 the bounds with a scalar min-plus DP (``update_bounds``).
 
 The build clusters a vertex's candidates on their scalar and top flag
-alone (``candidate_keys``) and bounds each cluster by one fused meet of
-its members' combines (``meet_of_combines``). Each round ``update_bounds``
-also sorts every vertex's states by a floor of the new bounds (``floors``),
-a part of any completion's cost that the bound alone fixes, so the search
-can key a label by scanning the states in floor order and stop at the first
-floor too high to beat the best completion found.
+alone and bounds each cluster by the meet of its members' combines. A
+vertex holds hundreds of candidates at kappa 50, so this runs on numpy
+arrays, a batch of vertices at a time (``combine_array``,
+``candidate_keys``, ``meet_runs``); a vertex with at most kappa
+candidates, and every vertex at kappa 1, stays on tuples. The search
+stays a fused loop over tuples: a vertex holds a few dozen states, too few
+for numpy's per-call overhead. Each round ``update_bounds`` also sorts
+every vertex's states by a floor of the new bounds (``floors``), a part of
+any completion's cost that the bound alone fixes, so the search can key a
+label by scanning the states in floor order and stop at the first floor
+too high to beat its bound.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class ResourceAlgebra:
@@ -86,14 +92,17 @@ class ResourceAlgebra:
         """True when the structure alone makes the cost +inf."""
         raise NotImplementedError
 
-    def completion_cost(self, q, bounds, states, ordered=False) -> float:
+    def completion_cost(self, q, bounds, states, ordered=False,
+                        limit=math.inf) -> float:
         """The search key of a label: the least cost of a feasible
         ``combine(q, bounds[s])`` over ``s`` in ``states``, +inf if none.
 
         ``ordered`` says that ``states`` are in ``floors`` order, which lets
-        a scan stop early. The reference scans them all; an algebra may
+        a scan stop early. Only a key of at most ``limit`` must be exact;
+        above it any value above ``limit`` will do, which lets a scan stop
+        earlier still. The reference scans them all; an algebra may
         override it with a fused loop that returns the same float bit for
-        bit."""
+        bit up to ``limit``."""
         best = math.inf
         for s in states:
             qb = self.combine(q, bounds[s])
@@ -111,20 +120,33 @@ class ResourceAlgebra:
 
     # The state-graph build clusters (out-arc, successor-state) candidates
     # on the scalar and top flag of combine(resources[a], bounds[s]) and
-    # bounds each cluster by the meet of its members' combines.
+    # bounds each cluster by the meet of its members' combines. At kappa
+    # above 1 it clusters on arrays: a resource is a column of floats, one
+    # row per component, and each kernel takes many columns.
 
-    def candidate_keys(self, resources, bounds, cands):
-        """The scalars and the top flags of ``combine(resources[a],
-        bounds[s])`` for the ``(a, s)`` in ``cands``, as two lists.
+    def to_array(self, qs) -> np.ndarray:
+        """The resources ``qs`` as a float array, one column each."""
+        raise NotImplementedError
 
-        The reference; an algebra may override it with a loop that returns
-        the same values without building the combined resources."""
-        scalars, tops = [], []
-        for a, s in cands:
-            q = self.combine(resources[a], bounds[s])
-            scalars.append(self.scalar(q))
-            tops.append(self.is_top(q))
-        return scalars, tops
+    def from_array(self, arr) -> list:
+        """The resources of the columns of ``arr``, as ``to_array`` took
+        them."""
+        raise NotImplementedError
+
+    def combine_array(self, arr1, arr2) -> np.ndarray:
+        """``combine`` of the columns of ``arr1`` and ``arr2``, pairwise."""
+        raise NotImplementedError
+
+    def candidate_keys(self, arr):
+        """The scalars and the top flags of the columns, as a float and a
+        bool array."""
+        raise NotImplementedError
+
+    def meet_runs(self, arr, starts) -> np.ndarray:
+        """One column per run ``starts[j]:starts[j + 1]`` of the columns
+        (the last run ends at the last column): ``meet`` folded from the
+        left over the run, float for float."""
+        raise NotImplementedError
 
     def meet_of_combines(self, resources, bounds, cands):
         """``meet`` folded from the left over ``combine(resources[a],
@@ -137,6 +159,18 @@ class ResourceAlgebra:
             q = self.combine(resources[a], bounds[s])
             acc = q if acc is None else self.meet(acc, q)
         return acc
+
+
+def fold_min(x, starts):
+    """``np.minimum.reduceat(x, starts)`` signed as a left fold of ``min``
+    signs it: a zero minimum takes the sign of the first zero of its run,
+    where numpy's may take the last."""
+    m = np.minimum.reduceat(x, starts)
+    zero = np.flatnonzero(m == 0)
+    if zero.size:
+        at = np.flatnonzero(x == 0)
+        m[zero] = x[at[np.searchsorted(at, starts[zero])]]
+    return m
 
 
 class AdditiveCapacityAlgebra(ResourceAlgebra):
@@ -175,6 +209,24 @@ class AdditiveCapacityAlgebra(ResourceAlgebra):
 
     def is_top(self, q) -> bool:
         return False
+
+    def to_array(self, qs) -> np.ndarray:
+        return np.array(qs, dtype=np.float64).reshape(-1, 2).T
+
+    def from_array(self, arr) -> list:
+        # a load comes back as an int when it is whole, as integer loads
+        # went in
+        return [(c, int(l) if l.is_integer() else l)
+                for c, l in zip(arr[0].tolist(), arr[1].tolist())]
+
+    def combine_array(self, arr1, arr2) -> np.ndarray:
+        return arr1 + arr2
+
+    def candidate_keys(self, arr):
+        return arr[0], np.zeros(arr.shape[1], dtype=bool)
+
+    def meet_runs(self, arr, starts) -> np.ndarray:
+        return np.stack((fold_min(arr[0], starts), fold_min(arr[1], starts)))
 
 
 def resolve_kappa(kappa: int | str, n_vertices: int) -> int:
@@ -306,62 +358,154 @@ class StateGraph:
         return [self.bounds[s] for s in self.states_of[vertex]]
 
 
-def _cluster_candidates(scalars, tops, kappa):
-    """Group candidate indices into <= kappa clusters of neighbours in cost
-    order, merging the neighbours whose merge degrades the bound least first.
+def _cluster_runs(xs, lo, hi, first_top, kappa):
+    """The starts of the kappa runs that one vertex's candidates, at
+    positions ``lo:hi`` of the cost order, cluster into; ``hi - lo`` is
+    above kappa, which is at least 2.
 
-    ``scalars[i]`` and ``tops[i]`` are the scalar and the top flag of
-    candidate ``i``. Costs are dual-free and scalars finite (instance
-    validation rejects non-finite weights). A cluster's cost is +inf when
-    every member is top and its minimum member scalar otherwise, the cost of
-    the meet of its members without duals. Cost order puts the non-top
-    candidates first, by scalar, and the top ones last, so merging two
-    non-top or two top neighbours loses nothing. Only a non-top cluster
-    followed by a top cluster with a lower minimum scalar loses, the
-    difference of the two minima. Least loss first, ties in the order the
-    neighbour pairs arose, is therefore a series of left-to-right passes
-    that merge every pair of neighbours but that one, skipping past both
-    clusters of each merge, until kappa clusters remain. From three
-    clusters on some pair loses nothing, so the lossy pair is never merged
-    unless kappa is 1.
+    ``xs`` holds the candidates' scalars in cost order and ``first_top``
+    the position of the vertex's first top candidate (``hi`` if none).
+    Costs are dual-free and scalars finite (instance validation rejects
+    non-finite weights). A cluster's cost is +inf when every member is top
+    and its minimum member scalar otherwise, the cost of the meet of its
+    members without duals. Cost order puts the non-top candidates first,
+    by scalar, and the top ones last, so merging two non-top or two top
+    neighbours loses nothing. Only a non-top cluster followed by a top
+    cluster with a lower minimum scalar loses, the difference of the two
+    minima. Least loss first, ties in the order the neighbour pairs arose,
+    is therefore a series of left-to-right passes that merge every pair
+    of neighbours but that one, skipping past both clusters of each
+    merge, until kappa clusters remain. From three clusters on some pair
+    loses nothing, so the lossy pair is never merged above kappa 1.
 
     Merges only join neighbours, so every cluster is a run of the cost
     order, kept as the position where it starts, and the top candidates
-    come last, so a cluster is top exactly when it starts at or after the
-    first top position. The only pair that can lose is then the last
-    non-top cluster and the first top one, and a pass is a few slices."""
-    n = len(scalars)
-    if n <= kappa:
-        return [[i] for i in range(n)]
-    if kappa == 1:
-        # may need the lossy merge, which a pass never makes
-        return [list(range(n))]
-    keys = [math.inf if t else x for x, t in zip(scalars, tops)]
-    order = sorted(range(n), key=keys.__getitem__)  # stable: ties by index
-    first_top = n - sum(tops)
-    starts = list(range(n))
+    come last, so a cluster is top exactly when it starts at or after
+    ``first_top``. The only pair that can lose is then the last non-top
+    cluster and the first top one, and a pass is a few slices."""
+    starts = np.arange(lo, hi)
     while len(starts) > kappa:
         m = len(starts)
         merges = m - kappa
         # b is the first top cluster. A pass pairs clusters (0, 1), (2, 3),
         # ...; when (b - 1, b) is one of its pairs and loses, cluster b - 1
         # stays alone and the pairs go on from b.
-        b = bisect_left(starts, first_top)
+        b = m if first_top == hi else int(np.searchsorted(starts, first_top))
         alone = -1
         if 0 < b < m and b % 2 == 1 and b // 2 < merges:
-            end = starts[b + 1] if b + 1 < m else n
-            low_top = min(scalars[i] for i in order[starts[b]:end])
-            if low_top < scalars[order[starts[b - 1]]]:
+            end = starts[b + 1] if b + 1 < m else hi
+            if xs[starts[b]:end].min() < xs[starts[b - 1]]:
                 alone = b - 1
         if alone < 0:
             k = min(merges, m // 2)
-            starts = starts[0:2 * k:2] + starts[2 * k:]
+            starts = np.concatenate((starts[0:2 * k:2], starts[2 * k:]))
         else:
             k = min(merges - alone // 2, (m - b) // 2)
-            starts = (starts[0:alone:2] + [starts[alone]]
-                      + starts[b:b + 2 * k:2] + starts[b + 2 * k:])
-    ends = starts[1:] + [n]
-    return [sorted(order[a:e]) for a, e in zip(starts, ends)]
+            starts = np.concatenate((starts[0:alone:2], starts[alone:b],
+                                     starts[b:b + 2 * k:2],
+                                     starts[b + 2 * k:]))
+    return starts
+
+
+def _cluster(scalars, tops, sizes, kappa):
+    """Cluster the candidates of several vertices, each into kappa runs of
+    its cost order (see ``_cluster_runs``).
+
+    The candidates are given vertex by vertex, ``sizes[i]`` of them for
+    vertex i, each size above kappa, which is at least 2; ``scalars`` and
+    ``tops`` hold their scalars and top flags. Returns ``members``, the
+    candidate indices cluster by cluster and ascending within each, and
+    the array of the positions in ``members`` where each cluster starts.
+    """
+    n = len(scalars)
+    sizes = np.asarray(sizes)
+    ends = np.cumsum(sizes)
+    # Cost order per vertex: non-top by scalar, then top, ties by index.
+    # Dense ranks of the keys make it a stable sort of small integers.
+    key = np.where(tops, np.inf, scalars)
+    by_key = np.argsort(key)
+    rank = np.empty(n, dtype=_index_type(n))
+    rank[by_key[0]] = 0
+    rank[by_key[1:]] = np.cumsum(key[by_key[1:]] != key[by_key[:-1]])
+    group = np.repeat(np.arange(len(sizes), dtype=_index_type(len(sizes))),
+                      sizes)
+    order = np.lexsort((rank, group))
+    xs = scalars[order]
+    first_tops = ends - np.add.reduceat(tops, ends - sizes, dtype=np.intp)
+    starts = np.concatenate([
+        _cluster_runs(xs, lo, hi, ft, kappa)
+        for lo, hi, ft in zip((ends - sizes).tolist(), ends.tolist(),
+                              first_tops.tolist())])
+    # each candidate's cluster; a stable sort by it lists the members of
+    # each cluster in index order
+    label = np.empty(n, dtype=_index_type(len(starts)))
+    label[order] = np.repeat(np.arange(len(starts), dtype=label.dtype),
+                             np.diff(starts, append=n))
+    return np.argsort(label, kind="stable"), starts
+
+
+def _index_type(n):
+    """The integer type that holds 0..n, 16 bits when it can, where numpy
+    sorts stably by radix."""
+    return np.int16 if n <= np.iinfo(np.int16).max else np.intp
+
+
+def _plan(graph: RcspGraph, kap: int):
+    """Number the states and batch the vertices, before any bound is formed.
+
+    A vertex with more than kap candidates is clustered (at kap > 1) or
+    gets one state (at kap 1); any other vertex gets one state per
+    candidate. Its states take the next ids in reverse topological order,
+    the destination's first. A vertex's batch is the most clustered
+    vertices on any of its paths to the destination, itself not counted,
+    so a clustered vertex needs the bounds of earlier batches only, and of
+    the other vertices of its own batch. Returns the lists ``first``
+    (each vertex's first state id), ``count`` (its number of states),
+    ``n_cands``, ``clustered`` and ``batches`` (each in reverse
+    topological order)."""
+    n = graph.n_vertices
+    first, count, n_cands, depth = [0] * n, [0] * n, [0] * n, [0] * n
+    clustered = [False] * n
+    batches: list[list[int]] = [[]]
+    n_states = 0
+    for v in reversed(graph.topo_order):
+        c = d = 0
+        for aid in graph.out[v]:
+            u = graph.arcs[aid][1]
+            c += count[u]
+            if depth[u] + clustered[u] > d:
+                d = depth[u] + clustered[u]
+        if v == graph.dest:
+            k = 1
+        elif c <= kap or kap == 1:
+            k = min(c, kap)
+        else:
+            k = kap
+            clustered[v] = True
+        first[v], count[v], n_cands[v], depth[v] = n_states, k, c, d
+        n_states += k
+        if d == len(batches):
+            batches.append([])
+        batches[d].append(v)
+    return first, count, n_cands, clustered, batches
+
+
+# The most candidates the build combines in one array step, a few hundred
+# KB per array; a vertex with more is a step of its own.
+_STEP_CANDIDATES = 4096
+
+
+def _parts(group, n_cands):
+    """The vertices of ``group`` in order, in runs of at most
+    ``_STEP_CANDIDATES`` candidates but for a vertex with more."""
+    part, size = [], 0
+    for v in group:
+        if part and size + n_cands[v] > _STEP_CANDIDATES:
+            yield part
+            part, size = [], 0
+        part.append(v)
+        size += n_cands[v]
+    yield part
 
 
 def build_state_graph(graph: RcspGraph, algebra, kappa: int | str) -> StateGraph:
@@ -369,41 +513,99 @@ def build_state_graph(graph: RcspGraph, algebra, kappa: int | str) -> StateGraph
     arc resources; ``update_bounds`` refreshes the scalars afterwards.
 
     A vertex with at most kappa candidates gets one state per candidate,
-    bounded by its combine. Otherwise the candidates are clustered on the
-    keys of ``algebra.candidate_keys`` and each cluster is bounded by
-    ``algebra.meet_of_combines``, without building a combine per
-    candidate."""
+    bounded by its combine; at kappa 1 a vertex with more gets one state,
+    bounded by ``algebra.meet_of_combines``. The other vertices are
+    clustered on arrays, a batch of them at once (see ``_plan``): their
+    candidates are combined by ``algebra.combine_array``, keyed by
+    ``algebra.candidate_keys``, clustered by ``_cluster`` and bounded by
+    ``algebra.meet_runs``, in steps of at most ``_STEP_CANDIDATES``
+    candidates (see ``_parts``). Without a clustered vertex no array is
+    built."""
     kap = resolve_kappa(kappa, len(graph.kept))
-    resources = graph.resources
-    states_of: list[list[int]] = [[] for _ in range(graph.n_vertices)]
-    state_arcs: list[list[tuple[int, int]]] = []
-    est: list = []
+    resources, arcs, out = graph.resources, graph.arcs, graph.out
+    first, count, n_cands, clustered, batches = _plan(graph, kap)
+    n_states = sum(count)
+    ids = list(range(n_states))
+    states_of = [ids[f:f + c] for f, c in zip(first, count)]
+    state_arcs: list = [None] * n_states
+    est: list = [None] * n_states
+    table = None
+    if any(clustered):
+        # one column per arc and per state bound
+        arc_table = algebra.to_array(resources)
+        table = np.empty((arc_table.shape[0], n_states))
+        # the ids as the Python ints that the graph and states_of hold,
+        # for the state arcs to share rather than convert anew
+        kept = [aid for aids in out for aid in aids]
+        arc_ints = np.empty(len(arcs), dtype=object)
+        arc_ints[kept] = np.array(kept, dtype=object)
+        state_ints = np.array(ids, dtype=object)
 
-    def new_state(v, arcs, bound):
-        states_of[v].append(len(state_arcs))
-        state_arcs.append(arcs)
-        est.append(bound)
-
-    if graph.dest in graph.kept:
-        new_state(graph.dest, [], algebra.neutral)
-    for v in reversed(graph.topo_order):
-        if v == graph.dest:
+    for batch in batches:
+        made: list[int] = []
+        group = []
+        for v in batch:
+            if clustered[v]:
+                group.append(v)
+            elif v == graph.dest:
+                state_arcs[0] = []
+                est[0] = algebra.neutral
+                made.append(0)
+            else:
+                cands = [(aid, sid) for aid in out[v]
+                         for sid in states_of[arcs[aid][1]]]
+                sid = first[v]
+                if len(cands) <= kap:
+                    for cand in cands:
+                        state_arcs[sid] = [cand]
+                        est[sid] = algebra.combine(resources[cand[0]],
+                                                   est[cand[1]])
+                        made.append(sid)
+                        sid += 1
+                else:
+                    state_arcs[sid] = cands
+                    est[sid] = algebra.meet_of_combines(resources, est, cands)
+                    made.append(sid)
+        if table is None:
             continue
-        cands = [(aid, sid) for aid in graph.out[v]
-                 for sid in states_of[graph.arcs[aid][1]]]
-        if len(cands) <= kap:
-            for aid, sid in cands:
-                new_state(v, [(aid, sid)],
-                          algebra.combine(resources[aid], est[sid]))
+        if made:
+            table[:, made] = algebra.to_array([est[s] for s in made])
+        if not group:
             continue
-        if kap == 1:
-            clusters = [cands]
-        else:
-            scalars, tops = algebra.candidate_keys(resources, est, cands)
-            clusters = [[cands[i] for i in run]
-                        for run in _cluster_candidates(scalars, tops, kap)]
-        for arcs in clusters:
-            new_state(v, arcs, algebra.meet_of_combines(resources, est, arcs))
+        for part in _parts(group, n_cands):
+            # every candidate of the part: each out-arc with each successor
+            # state, whose ids are a run
+            arc_of, head_first, head_count = [], [], []
+            for v in part:
+                for aid in out[v]:
+                    u = arcs[aid][1]
+                    arc_of.append(aid)
+                    head_first.append(first[u])
+                    head_count.append(count[u])
+            head_count = np.array(head_count)
+            aid = np.repeat(arc_of, head_count)
+            sid = np.arange(len(aid)) + np.repeat(
+                np.array(head_first) - (np.cumsum(head_count) - head_count),
+                head_count)
+            combined = algebra.combine_array(arc_table.take(aid, axis=1),
+                                             table.take(sid, axis=1))
+            scalars, tops = algebra.candidate_keys(combined)
+            members, starts = _cluster(scalars, tops,
+                                       [n_cands[v] for v in part], kap)
+            combined = combined.take(members, axis=1)
+            bounds = algebra.meet_runs(combined, starts)
+            ids = np.add.outer([first[v] for v in part],
+                               np.arange(kap)).ravel()
+            table[:, ids] = bounds
+            pairs = list(zip(arc_ints[aid[members]].tolist(),
+                             state_ints[sid[members]].tolist()))
+            cuts = starts.tolist() + [len(pairs)]
+            runs = [pairs[a:b] for a, b in zip(cuts, cuts[1:])]
+            qs = algebra.from_array(bounds)
+            for j, v in enumerate(part):
+                f = first[v]
+                state_arcs[f:f + kap] = runs[j * kap:(j + 1) * kap]
+                est[f:f + kap] = qs[j * kap:(j + 1) * kap]
 
     return StateGraph(
         graph=graph,
@@ -498,6 +700,13 @@ def _search(sg: StateGraph, algebra, ub: float, found: list | None,
     None): a cheaper feasible o-d label lowers ``ub``. Collect mode: each
     feasible o-d label costing at most ``ub`` goes to ``found`` until one
     beyond ``path_limit`` sets ``truncated``. Returns (ub, best, stats).
+
+    With Low on, a label whose key is above ``ub`` can only be popped and
+    cut, as ``ub`` never rises, so the loop skips the work and counts it
+    as done. It does not push such a child unless it is at the
+    destination, and in incumbent mode it stops once the heap holds
+    nothing else. A run that truncates pops no label keyed above ``ub``,
+    so only a run that does not counts the children it skipped.
     """
     graph = sg.graph
     stats = SolveStats()
@@ -513,8 +722,16 @@ def _search(sg: StateGraph, algebra, ub: float, found: list | None,
                                   sg.states_of[graph.origin], ordered)
     heap = [(key, seq, root)]
     nondom: dict[int, list] = {}
+    skipped = 0  # children keyed above ub, never pushed
 
     while heap:
+        if use_low and found is None and not heap[0][0] <= ub:
+            # each label left would be popped, and cut by Low unless it is
+            # at the destination
+            stats.paths_enumerated += len(heap)
+            stats.cut_low += sum(1 for e in heap
+                                 if e[2].vertex != graph.dest)
+            break
         key, _, lab = heapq.heappop(heap)
         stats.paths_enumerated += 1
         v = lab.vertex
@@ -545,17 +762,25 @@ def _search(sg: StateGraph, algebra, ub: float, found: list | None,
                 continue
             front[:] = [q2 for q2 in front if not algebra.leq(lab.resource, q2)]
             front.append(lab.resource)
+        limit = ub if use_low else math.inf
         for aid in graph.out[v]:
             head = graph.arcs[aid][1]
             q2 = algebra.combine(lab.resource, graph.resources[aid])
             if head != graph.dest and algebra.infeasible(q2):
                 continue
+            child_key = algebra.completion_cost(q2, sg.bounds,
+                                                sg.states_of[head], ordered,
+                                                limit)
+            if not child_key <= limit and head != graph.dest:
+                skipped += 1
+                continue
             seq += 1
             child = PartialPath(head, q2, lab, aid)
-            child_key = algebra.completion_cost(q2, sg.bounds,
-                                                sg.states_of[head], ordered)
             heapq.heappush(heap, (child_key, seq, child))
 
+    if not stats.truncated:
+        stats.paths_enumerated += skipped
+        stats.cut_low += skipped
     return ub, best, stats
 
 

@@ -565,6 +565,45 @@ def test_completion_enumeration_is_pinned(kappa):
     assert got == _COMPLETION_PINS[kappa]
 
 
+@pytest.mark.parametrize("kappa", [1, 50])
+def test_search_counters_match_reference_loop(kappa):
+    # The loop that skips the labels keyed above its bound ends as the loop
+    # that pushes and pops them all, counters included: pricing with and
+    # without Low and the incumbent, completion, and a completion whose
+    # path limit truncates, on every window of a 60-leg week under the
+    # fixed duals of the completion pins and one random dual set.
+    from crewroute.pairing.colgen import PRICING_TOL
+    from crewroute.rcsp import enumerate_within, solve
+    from rcsp_reference import reference_search
+
+    def counters(st):
+        return (st.paths_enumerated, st.cut_dom, st.cut_low, st.truncated)
+
+    truncated = 0
+    for pricers in _repriced_windows(kappa, n_random=1):
+        for pricer in pricers:
+            sg, alg = pricer.state_graph, pricer.algebra
+            for tests in (("dom", "low"), ("dom",), ("low",)):
+                for ub in (math.inf, -PRICING_TOL):
+                    cost, path, st = solve(sg, alg, tests, ub)
+                    ref_ub, ref_best, ref_st = reference_search(
+                        sg, alg, ub, None, "dom" in tests, "low" in tests)
+                    if ref_best is None:
+                        assert (cost, path) == (math.inf, None)
+                    else:
+                        assert (cost, path) == (ref_ub, ref_best.arc_path())
+                    assert counters(st) == counters(ref_st)
+            for limit in (200_000, 100):
+                found, st = enumerate_within(sg, alg, 25.0, limit)
+                ref_found = []
+                _, _, ref_st = reference_search(sg, alg, 25.0, ref_found,
+                                                False, True, limit)
+                assert repr(found) == repr(ref_found)
+                assert counters(st) == counters(ref_st)
+                truncated += st.truncated
+    assert truncated > 0
+
+
 def test_dominance_keeps_the_optimum_on_real_windows():
     # Dom may only discard labels, never the optimum: on every window of a
     # 60-leg week, under the fixed duals of the completion pins and nine

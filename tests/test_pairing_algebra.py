@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -304,9 +305,10 @@ def test_completion_cost_matches_reference_bit_for_bit():
 
 
 def test_build_kernels_match_reference_bit_for_bit():
-    # candidate keys and the meet of a cluster's combines, fused, against
-    # the combine-per-candidate references: BOT, TOP and MULTI cores on
-    # both sides, z off the dyadic grid, runs of one arc
+    # the array kernels of the clustered build and the fused meet of
+    # combines against combine, scalar, is_top and the generic meet fold:
+    # BOT, TOP and MULTI cores on both sides, z off the dyadic grid and z
+    # of both zero signs, runs of one member
     rng = random.Random(43)
     for _ in range(300):
         alg = small_pairing_algebra(rng)
@@ -314,15 +316,32 @@ def test_build_kernels_match_reference_bit_for_bit():
         bounds = [random_resource(rng) for _ in range(12)]
         resources += [_off_grid(rng, q) for q in resources[:4]]
         bounds += [_off_grid(rng, q) for q in bounds[:6]]
+        bounds += [alg.with_scalar(q, rng.choice((0.0, -0.0)))
+                   for q in bounds[:6]]
+        resources += [alg.with_scalar(q, -0.0) for q in resources[:2]]
         for k in (1, 2, rng.randrange(3, 40)):
             cands = sorted((rng.randrange(len(resources)),
                             rng.randrange(len(bounds))) for _ in range(k))
-            assert (repr(alg.candidate_keys(resources, bounds, cands))
-                    == repr(ResourceAlgebra.candidate_keys(
-                        alg, resources, bounds, cands)))
             assert (repr(alg.meet_of_combines(resources, bounds, cands))
                     == repr(ResourceAlgebra.meet_of_combines(
                         alg, resources, bounds, cands)))
+            arcs = [resources[a] for a, _ in cands]
+            ends = [bounds[s] for _, s in cands]
+            assert repr(alg.from_array(alg.to_array(arcs))) == repr(arcs)
+            combined = alg.combine_array(alg.to_array(arcs),
+                                         alg.to_array(ends))
+            want = [alg.combine(a, b) for a, b in zip(arcs, ends)]
+            assert repr(alg.from_array(combined)) == repr(want)
+            scalars, tops = alg.candidate_keys(combined)
+            assert scalars.tolist() == [alg.scalar(q) for q in want]
+            assert tops.tolist() == [alg.is_top(q) for q in want]
+            cuts = sorted(rng.sample(range(1, k), rng.randrange(k)))
+            starts = np.array([0] + cuts)
+            met = alg.from_array(alg.meet_runs(combined, starts))
+            assert repr(met) == repr([
+                ResourceAlgebra.meet_of_combines(alg, resources, bounds,
+                                                 cands[a:b])
+                for a, b in zip([0] + cuts, cuts + [k])])
 
 
 def _scan_agrees(alg, q, bounds, states):
@@ -367,6 +386,32 @@ def test_ordered_scan_matches_reference_after_update_bounds():
                     want = ResourceAlgebra.completion_cost(
                         alg, q, sg.bounds, built[v])
                     assert repr(got) == repr(want)
+
+
+def test_ordered_scan_with_limit():
+    # a key of at most the limit is the reference's float, bit for bit;
+    # above it, the scan may stop early but returns a value above it
+    rng = random.Random(59)
+    for _ in range(400):
+        alg = PairingAlgebra(4, 480, rng.random(), rng.random(),
+                             mu=-rng.uniform(0, 50), nu=-rng.uniform(0, 50))
+        bounds = [random_resource(rng) for _ in range(30)]
+        bounds += [_off_grid(rng, q) for q in bounds[:15]]
+        q = random_resource(rng)
+        if rng.random() < 0.5:
+            q = _off_grid(rng, q)
+        states = rng.sample(range(len(bounds)), rng.randrange(0, 25))
+        floors = alg.floors(bounds)
+        ordered = sorted(states, key=floors.__getitem__)
+        want = ResourceAlgebra.completion_cost(alg, q, bounds, states)
+        for limit in (want, math.nextafter(want, -math.inf), want + 1.0,
+                      want - 1.0, -math.inf, math.inf,
+                      rng.uniform(-100.0, 100.0)):
+            got = alg.completion_cost(q, bounds, ordered, True, limit)
+            if want <= limit:
+                assert repr(got) == repr(want), (q, states, limit)
+            else:
+                assert got > limit, (q, states, limit)
 
 
 def test_ordered_scan_edge_cases():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -18,8 +19,7 @@ from crewroute.pairing.algebra import TOP, PairingAlgebra, one_core
 from crewroute.rcsp import (
     AdditiveCapacityAlgebra,
     RcspGraph,
-    ResourceAlgebra,
-    _cluster_candidates,
+    _cluster,
     brute_force_oracle,
     build_state_graph,
     compute_bounds,
@@ -28,6 +28,7 @@ from crewroute.rcsp import (
     solve,
     update_bounds,
 )
+from rcsp_reference import reference_build
 
 ALL_CONFIGS = ((), ("dom",), ("low",), ("dom", "low"))
 
@@ -188,6 +189,20 @@ def _top(z):
     return (TOP, z, 0, 0)
 
 
+def _cluster_candidates(scalars, tops, kappa):
+    """One vertex's clusters through ``rcsp._cluster``, as lists of
+    candidate indices; up to kappa candidates, and at kappa 1, the build
+    does not cluster, and each candidate, or all of them, is one."""
+    n = len(scalars)
+    if n <= kappa:
+        return [[i] for i in range(n)]
+    if kappa == 1:
+        return [list(range(n))]
+    members, starts = _cluster(np.array(scalars, dtype=np.float64),
+                               np.array(tops, dtype=bool), [n], kappa)
+    return [run.tolist() for run in np.split(members, starts[1:])]
+
+
 def _keys(ests, alg):
     return [alg.scalar(b) for b in ests], [alg.is_top(b) for b in ests]
 
@@ -281,6 +296,28 @@ def test_cluster_passes_match_pairwise_reference():
         kappa = rng.randrange(1, n + 3)
         assert (_cluster_candidates(scalars, tops, kappa)
                 == _pairwise_passes(scalars, tops, kappa))
+
+
+def test_cluster_batches_vertices_apart():
+    # the vertices of a batch are clustered as if one at a time: no run,
+    # sort or pass reaches into a neighbour's candidates
+    rng = random.Random(43)
+    for _ in range(500):
+        kappa = rng.randrange(2, 8)
+        sizes = [rng.randrange(kappa + 1, 40)
+                 for _ in range(rng.randrange(1, 6))]
+        p_top = rng.choice((0.0, 0.2, 0.5, 0.9))
+        scalars = [rng.randrange(-6, 6) / 2.0 for _ in range(sum(sizes))]
+        tops = [rng.random() < p_top for _ in scalars]
+        members, starts = _cluster(np.array(scalars), np.array(tops), sizes,
+                                   kappa)
+        got = [run.tolist() for run in np.split(members, starts[1:])]
+        want, lo = [], 0
+        for n in sizes:
+            want += [[lo + i for i in run] for run in _pairwise_passes(
+                scalars[lo:lo + n], tops[lo:lo + n], kappa)]
+            lo += n
+        assert got == want
 
 
 def _with_scalars(graph, algebra, scalars):
@@ -504,13 +541,6 @@ def test_oracle_path_guard():
 # the fused build on pricing windows
 
 
-class _ReferenceBuild(PairingAlgebra):
-    """Builds through the generic combine-per-candidate references."""
-
-    candidate_keys = ResourceAlgebra.candidate_keys
-    meet_of_combines = ResourceAlgebra.meet_of_combines
-
-
 def _window_builds(kappa, n_cuts):
     from crewroute.generate import generate_instance
     from crewroute.instance import ConnectionKind, build_connections
@@ -523,7 +553,6 @@ def _window_builds(kappa, n_cuts):
     rules = inst.rules
     args = (rules.max_legs_per_duty, rules.F_max, rules.alpha, rules.beta)
     fused = PairingAlgebra(*args)
-    ref = _ReferenceBuild(*args)
     conns = build_connections(inst)
     # n_cuts cuts over the short connections, their duals folded into the
     # z of the short-connection arcs as the pricer does
@@ -540,16 +569,16 @@ def _window_builds(kappa, n_cuts):
                     res[aid], fused.scalar(res[aid]) - conn_duals[key])
         net.graph.resources = res
         yield (_state_graph(net.graph, fused, kappa),
-               build_state_graph(net.graph, ref, kappa))
+               reference_build(net.graph, fused, kappa))
 
 
 @pytest.mark.parametrize("kappa", [1, 2, 5, 50])
 @pytest.mark.parametrize("n_cuts", [0, 2])
 def test_fused_build_matches_reference_build(kappa, n_cuts):
-    # keys without combines, run-sliced passes and one meet of combines
-    # per cluster leave the state graph of the reference build, float for
-    # float, with and without cut duals on the short-connection arcs;
-    # _state_graph also checks the bounds against compute_bounds
+    # the array build (keys, run-sliced passes and meets per batch of
+    # clustered vertices) leaves the state graph of the list-based build,
+    # float for float, with and without cut duals on the short-connection
+    # arcs; _state_graph also checks the bounds against compute_bounds
     for sg, want in _window_builds(kappa, n_cuts):
         assert sg.states_of == want.states_of
         assert sg.state_arcs == want.state_arcs
@@ -561,3 +590,25 @@ def test_kappa_50_state_graph_size_is_pinned():
     sgs = [sg for sg, _ in _window_builds(50, 0)]
     assert sum(len(sg.state_arcs) for sg in sgs) == 4655
     assert sum(len(a) for sg in sgs for a in sg.state_arcs) == 13087
+
+
+@pytest.mark.parametrize("kappa", [2, 3, 5])
+def test_array_build_matches_list_build_on_random_dags(kappa):
+    # clustered vertices of both algebras on small DAGs, a third of the
+    # scalars set to +0.0 or -0.0: the array build leaves the list build's
+    # state graph field for field
+    rng = random.Random(200 + kappa)
+    clustered = 0
+    for _ in range(60):
+        for g, alg in ((random_additive_dag(rng, 6),
+                        AdditiveCapacityAlgebra(6)),
+                       (random_pairing_dag(rng), small_pairing_algebra())):
+            g.resources = [alg.with_scalar(q, rng.choice((0.0, -0.0)))
+                           if rng.random() < 0.3 else q for q in g.resources]
+            sg = build_state_graph(g, alg, kappa)
+            want = reference_build(g, alg, kappa)
+            assert sg.states_of == want.states_of
+            assert sg.state_arcs == want.state_arcs
+            assert repr(sg.bounds) == repr(want.bounds)
+            clustered += sum(len(arcs) > 1 for arcs in sg.state_arcs)
+    assert clustered > 100
