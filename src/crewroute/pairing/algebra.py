@@ -274,7 +274,7 @@ class PairingAlgebra(ResourceAlgebra):
         nub = self._nu_beta
         return [b[1] + nub * b[3] for b in bounds]
 
-    # -- state-graph build: array kernels and the fused cluster bound --------
+    # -- state-graph build: array kernels ------------------------------------
     #
     # A resource's column holds the core type (0 BOT, 1 ONE, 2 MULTI,
     # 3 TOP), five core components (zero where the type has none), z,
@@ -357,86 +357,6 @@ class PairingAlgebra(ResourceAlgebra):
         out[7] = np.minimum.reduceat(arr[7], starts)
         out[8] = np.maximum.reduceat(arr[8], starts)
         return out
-
-    def meet_of_combines(self, resources, bounds, cands):
-        """``ResourceAlgebra.meet_of_combines`` in one pass: each member's
-        combined components are met into running minima (maxima for rests)
-        as ``combine`` would form them, keeping the first of equal z as
-        ``meet`` does, and the core is met by type."""
-        max_legs, f_max = self.max_duty_legs, self.f_max
-        z = nights = math.inf
-        rests = -math.inf
-        # type of the met core: -1 before any member, 0 BOT, 1 ONE, 2 MULTI,
-        # 3 TOP; m1..m5 hold its componentwise minima
-        t = -1
-        m1 = m2 = m3 = m4 = m5 = 0
-        for a, s in cands:
-            ca, za, na, ra = resources[a]
-            cb, zb, nb, rb = bounds[s]
-            x = za + zb
-            if x < z:
-                z = x
-            x = na + nb
-            if x < nights:
-                nights = x
-            x = ra + rb
-            if x > rests:
-                rests = x
-            if t == 0:
-                continue
-            ta, tb = ca[0], cb[0]
-            if ta == 0 or tb == 0:
-                t = 0
-                continue
-            if ta == 3 or tb == 3:
-                if t == -1:
-                    t = 3
-                continue
-            if ta == 1:
-                c1, c2 = ca[1] + cb[1], ca[2] + cb[2]
-                if tb == 1:
-                    ct = 1
-                else:
-                    ct, c3, c4, c5 = 2, cb[3], cb[4], cb[5]
-            elif tb == 1:
-                ct, c1, c2 = 2, ca[1], ca[2]
-                c3, c4, c5 = ca[3] + cb[1], ca[4] + cb[2], ca[5]
-            else:
-                legs = ca[3] + cb[1]
-                if legs > max_legs or ca[4] + cb[2] > f_max:
-                    if t == -1:
-                        t = 3
-                    continue
-                ct, c1, c2, c3, c4 = 2, ca[1], ca[2], cb[3], cb[4]
-                c5 = ca[5] + cb[5] + (1 if legs > LONG_DUTY_LEGS else 0)
-            if t == -1 or t == 3:
-                t = ct
-                m1, m2 = c1, c2
-                if ct == 2:
-                    m3, m4, m5 = c3, c4, c5
-            elif t != ct:
-                t = 0
-            else:
-                if c1 < m1:
-                    m1 = c1
-                if c2 < m2:
-                    m2 = c2
-                if ct == 2:
-                    if c3 < m3:
-                        m3 = c3
-                    if c4 < m4:
-                        m4 = c4
-                    if c5 < m5:
-                        m5 = c5
-        if t == 0:
-            core = BOT
-        elif t == 3:
-            core = TOP
-        elif t == 1:
-            core = (1, m1, m2)
-        else:
-            core = (2, m1, m2, m3, m4, m5)
-        return (core, z, nights, rests)
 
     def infeasible(self, q) -> bool:
         core = q[0]

@@ -45,7 +45,6 @@ from .master import CutRow, MasterProblem
 from .network import (
     PairingColumn,
     WindowNetwork,
-    arc_dual_legs,
     arc_resources,
     arc_shorts,
     build_pricing_networks,
@@ -122,21 +121,19 @@ class _WindowPricer:
         graph.resources = arc_resources(net, inst, base_algebra, {})
         self.state_graph = build_state_graph(graph, base_algebra, kappa)
         self.algebra = base_algebra
-        # Duals only move z: keep each arc's dual-free z, the leg whose
-        # cover dual it pays and the short connection it flies.
+        # Duals only move z: keep each arc's dual-free z and the short
+        # connection it flies; net.arc_legs holds the leg whose cover dual
+        # it pays.
         self.base_z = [base_algebra.scalar(q) for q in graph.resources]
-        self.dual_legs = arc_dual_legs(net)
         self.short_arcs = arc_shorts(net)
 
     def reprice(self, algebra: PairingAlgebra, leg_duals: dict[int, float],
                 conn_duals: dict[tuple[int, int], float]):
         z = [b - leg_duals.get(leg, 0.0)
-             for b, leg in zip(self.base_z, self.dual_legs)]
+             for b, leg in zip(self.base_z, self.net.arc_legs)]
         for aid, key in self.short_arcs:
             if key in conn_duals:
                 z[aid] -= conn_duals[key]
-        graph = self.net.graph
-        graph.resources = list(map(algebra.with_scalar, graph.resources, z))
         self.algebra = algebra
         update_bounds(self.state_graph, z, algebra)
         # Pricing only wants columns with reduced cost below -PRICING_TOL,

@@ -16,7 +16,7 @@ first departure day, and any origin-destination path decodes to a feasible
 pairing, so pricing over the 7 windows with cross-window deduplication is
 exact. Only the ``z`` of an arc resource depends on the current duals: it
 is the arc's dual-free ``z`` minus the cover dual of the leg the arc enters
-(``arc_dual_legs``) and, on an arc that flies a short connection
+(``WindowNetwork.arc_legs``) and, on an arc that flies a short connection
 (``arc_shorts``), minus that connection's dual in the short-connection cut
 rows. A window network is acyclic, so a path flies each connection at most
 once, and its ``z`` pays every cut row once per cut connection it flies.
@@ -70,10 +70,15 @@ class PairingColumn:
 
 @dataclass
 class WindowNetwork:
+    """One window's graph. ``arc_info`` tags each arc; ``arc_legs`` holds
+    the leg it enters, whose cover dual its ``z`` pays, None on arcs into
+    the destination."""
+
     window: int
     graph: RcspGraph
     leg_of_vertex: list[int]
     arc_info: list[tuple]
+    arc_legs: list[int | None]
 
 
 def _local(t: int, window: int) -> int:
@@ -99,11 +104,13 @@ def build_pricing_networks(
 
         arcs: list[tuple[int, int]] = []
         info: list[tuple] = []
+        entered: list[int | None] = []
         for leg_id in member:
             leg = legs[leg_id]
             if inst.airport(leg.dep_airport).is_base:
                 arcs.append((origin, vid[leg_id]))
                 info.append(("o", leg_id))
+                entered.append(leg_id)
         for c in crew_conns:
             if c.from_leg not in vid or c.to_leg not in vid:
                 continue
@@ -113,11 +120,13 @@ def build_pricing_networks(
             kind = "night" if c.kind == ConnectionKind.NIGHT_CREW else "day"
             arcs.append((vid[c.from_leg], vid[c.to_leg]))
             info.append((kind, c))
+            entered.append(c.to_leg)
         for leg_id in member:
             leg = legs[leg_id]
             if inst.airport(leg.arr_airport).is_base:
                 arcs.append((vid[leg_id], dest))
                 info.append(("d", leg_id))
+                entered.append(None)
 
         graph = RcspGraph(
             n_vertices=len(member) + 2,
@@ -126,7 +135,7 @@ def build_pricing_networks(
             dest=dest,
             resources=[None] * len(arcs),
         )
-        nets.append(WindowNetwork(w, graph, member, info))
+        nets.append(WindowNetwork(w, graph, member, info, entered))
     return nets
 
 
@@ -170,26 +179,10 @@ def arc_resources(
     return out
 
 
-def _entered_leg(tag: tuple) -> int | None:
-    """The leg an arc enters, None on arcs into the destination."""
-    kind = tag[0]
-    if kind == "o":
-        return tag[1]
-    if kind == "d":
-        return None
-    return tag[1].to_leg
-
-
-def arc_dual_legs(net: WindowNetwork) -> list[int | None]:
-    """The leg whose cover dual each arc's ``z`` pays, None on arcs into the
-    destination."""
-    return [_entered_leg(tag) for tag in net.arc_info]
-
-
 def path_legs(net: WindowNetwork, arc_path: tuple[int, ...]) -> tuple[int, ...]:
     """The legs an origin-destination arc path flies, in order: the
     ``legs`` of its decoded pairing, read without decoding it."""
-    legs = (_entered_leg(net.arc_info[aid]) for aid in arc_path)
+    legs = (net.arc_legs[aid] for aid in arc_path)
     return tuple(leg for leg in legs if leg is not None)
 
 

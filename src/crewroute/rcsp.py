@@ -19,21 +19,24 @@ work is discarded along the way.
 Resources split into a fixed structure and one scalar, the only component
 that moves between pricing rounds. ``combine`` adds scalars and ``meet``
 takes their minimum, component by component, so the structure of every
-state bound is fixed when the state graph is built, and a round refreshes
-the bounds with a scalar min-plus DP (``update_bounds``).
+state bound is fixed when the state graph is built, and a round reprices
+the arcs and refreshes the bounds with a scalar min-plus DP
+(``update_bounds``).
 
 The build clusters a vertex's candidates on their scalar and top flag
 alone and bounds each cluster by the meet of its members' combines. A
 vertex holds hundreds of candidates at kappa 50, so this runs on numpy
 arrays, a batch of vertices at a time (``combine_array``,
-``candidate_keys``, ``meet_runs``); a vertex with at most kappa
-candidates, and every vertex at kappa 1, stays on tuples. The search
-stays a fused loop over tuples: a vertex holds a few dozen states, too few
-for numpy's per-call overhead. Each round ``update_bounds`` also sorts
-every vertex's states by a floor of the new bounds (``floors``), a part of
-any completion's cost that the bound alone fixes, so the search can key a
-label by scanning the states in floor order and stop at the first floor
-too high to beat its bound.
+``candidate_keys``, ``meet_runs``). A vertex with at most kappa
+candidates, and every vertex at kappa 1, stays on tuples: each of its
+states is bounded by the left fold of ``meet`` over its members' combines
+that ``compute_bounds`` runs. The search stays a fused loop over tuples:
+a vertex holds a few dozen states, too few for numpy's per-call
+overhead. Each round ``update_bounds`` also sorts every vertex's states
+by a floor of the new bounds (``floors``), a part of any completion's
+cost that the bound alone fixes, so the search can key a label by
+scanning the states in floor order and stop at the first floor too high
+to beat its bound.
 """
 
 from __future__ import annotations
@@ -148,18 +151,6 @@ class ResourceAlgebra:
         left over the run, float for float."""
         raise NotImplementedError
 
-    def meet_of_combines(self, resources, bounds, cands):
-        """``meet`` folded from the left over ``combine(resources[a],
-        bounds[s])`` for the ``(a, s)`` in ``cands``, which is not empty.
-
-        The reference; an algebra may override it with a fused loop that
-        returns an equal resource, float for float."""
-        acc = None
-        for a, s in cands:
-            q = self.combine(resources[a], bounds[s])
-            acc = q if acc is None else self.meet(acc, q)
-        return acc
-
 
 def fold_min(x, starts):
     """``np.minimum.reduceat(x, starts)`` signed as a left fold of ``min``
@@ -253,9 +244,9 @@ def resolve_kappa(kappa: int | str, n_vertices: int) -> int:
 class RcspGraph:
     """Acyclic digraph with opaque arc resources, pruned to o-d vertices.
 
-    Topology is immutable. ``resources`` holds one resource per arc; a
-    pricing round rebinds it to resources that keep each arc's structure
-    and change its scalar.
+    Topology is immutable. ``resources`` holds one resource per arc;
+    ``update_bounds`` rebinds it to resources that keep each arc's
+    structure and change its scalar.
     """
 
     def __init__(self, n_vertices, arcs, origin, dest, resources):
@@ -508,19 +499,32 @@ def _parts(group, n_cands):
     yield part
 
 
+def _fold(algebra, resources, bounds, arcs):
+    """The bound of a state with the state arcs ``arcs``: ``neutral`` when
+    there are none, otherwise ``meet`` folded from the left over
+    ``combine(resources[a], bounds[s])`` for the ``(a, s)`` in ``arcs``."""
+    if not arcs:
+        return algebra.neutral
+    acc = None
+    for a, s in arcs:
+        q = algebra.combine(resources[a], bounds[s])
+        acc = q if acc is None else algebra.meet(acc, q)
+    return acc
+
+
 def build_state_graph(graph: RcspGraph, algebra, kappa: int | str) -> StateGraph:
     """Build the per-vertex state expansion and its bounds for the graph's
     arc resources; ``update_bounds`` refreshes the scalars afterwards.
 
     A vertex with at most kappa candidates gets one state per candidate,
-    bounded by its combine; at kappa 1 a vertex with more gets one state,
-    bounded by ``algebra.meet_of_combines``. The other vertices are
-    clustered on arrays, a batch of them at once (see ``_plan``): their
-    candidates are combined by ``algebra.combine_array``, keyed by
-    ``algebra.candidate_keys``, clustered by ``_cluster`` and bounded by
-    ``algebra.meet_runs``, in steps of at most ``_STEP_CANDIDATES``
-    candidates (see ``_parts``). Without a clustered vertex no array is
-    built."""
+    and at kappa 1 a vertex with more gets one state for them all; each
+    such state is bounded on tuples by the fold that ``compute_bounds``
+    runs (``_fold``). The other vertices are clustered on arrays, a batch
+    of them at once (see ``_plan``): their candidates are combined by
+    ``algebra.combine_array``, keyed by ``algebra.candidate_keys``,
+    clustered by ``_cluster`` and bounded by ``algebra.meet_runs``, in
+    steps of at most ``_STEP_CANDIDATES`` candidates (see ``_parts``).
+    Without a clustered vertex no array is built."""
     kap = resolve_kappa(kappa, len(graph.kept))
     resources, arcs, out = graph.resources, graph.arcs, graph.out
     first, count, n_cands, clustered, batches = _plan(graph, kap)
@@ -547,25 +551,14 @@ def build_state_graph(graph: RcspGraph, algebra, kappa: int | str) -> StateGraph
         for v in batch:
             if clustered[v]:
                 group.append(v)
-            elif v == graph.dest:
-                state_arcs[0] = []
-                est[0] = algebra.neutral
-                made.append(0)
-            else:
-                cands = [(aid, sid) for aid in out[v]
-                         for sid in states_of[arcs[aid][1]]]
-                sid = first[v]
-                if len(cands) <= kap:
-                    for cand in cands:
-                        state_arcs[sid] = [cand]
-                        est[sid] = algebra.combine(resources[cand[0]],
-                                                   est[cand[1]])
-                        made.append(sid)
-                        sid += 1
-                else:
-                    state_arcs[sid] = cands
-                    est[sid] = algebra.meet_of_combines(resources, est, cands)
-                    made.append(sid)
+                continue
+            cands = [(aid, sid) for aid in out[v]
+                     for sid in states_of[arcs[aid][1]]]
+            runs = [cands] if count[v] == 1 else [[c] for c in cands]
+            for sid, run in enumerate(runs, first[v]):
+                state_arcs[sid] = run
+                est[sid] = _fold(algebra, resources, est, run)
+                made.append(sid)
         if table is None:
             continue
         if made:
@@ -624,28 +617,25 @@ def compute_bounds(sg: StateGraph, algebra) -> list:
     resources = sg.graph.resources
     values = [None] * len(sg.state_arcs)
     for sid, arcs in enumerate(sg.state_arcs):
-        if not arcs:
-            values[sid] = algebra.neutral
-            continue
-        acc = None
-        for aid, nxt in arcs:
-            q = algebra.combine(resources[aid], values[nxt])
-            acc = q if acc is None else algebra.meet(acc, q)
-        values[sid] = acc
+        values[sid] = _fold(algebra, resources, values, arcs)
     return values
 
 
 def update_bounds(sg: StateGraph, arc_scalar, algebra) -> None:
-    """Refresh the state bounds for new arc scalars.
+    """Reprice the graph's arcs and refresh the state bounds for new arc
+    scalars.
 
     ``arc_scalar[aid]`` is the new scalar of arc ``aid``; the arc structures
-    must be those the state graph was built with. A min-plus DP over the
+    must be those the state graph was built with. The graph's ``resources``
+    are rebound to the arcs with those scalars. A min-plus DP over the
     state arcs, in the order ``compute_bounds`` meets them, recomputes each
     bound's scalar, so every bound equals ``compute_bounds`` on the new
     resources bit for bit. The bounds are rewritten in place, and each
     vertex's states are then sorted by the algebra's ``floors`` of the new
     bounds (stable, so equal floors keep their order).
     """
+    sg.graph.resources = list(map(algebra.with_scalar, sg.graph.resources,
+                                  arc_scalar))
     bounds = sg.bounds
     scalars = [0.0] * len(sg.state_arcs)
     for sid, arcs in enumerate(sg.state_arcs):

@@ -363,7 +363,6 @@ class RoutingSession:
 
 def solve_routing(
     inst: Instance,
-    connections: list[Connection] | None = None,
     forced=None,
     budget: int | None = None,
     node_limit: int = 200_000,
@@ -378,16 +377,13 @@ def solve_routing(
     if budget is None:
         budget = inst.rules.n_a
     if session is None:
-        session = RoutingSession(inst, connections, budget)
+        session = RoutingSession(inst, budget=budget)
     elif session.inst is not inst or session.budget != budget:
         raise ValueError("session belongs to another instance or budget")
     return session.solve(forced or (), node_limit)
 
 
-def minimize_aircraft(
-    inst: Instance,
-    connections: list[Connection] | None = None,
-    node_limit: int = 200_000,
-) -> RoutingResult:
+def minimize_aircraft(inst: Instance,
+                      node_limit: int = 200_000) -> RoutingResult:
     """Fewest aircraft that can fly the whole schedule, no budget row."""
-    return RoutingSession(inst, connections, None).solve((), node_limit)
+    return RoutingSession(inst).solve((), node_limit)

@@ -1,11 +1,12 @@
 """List-based references for the state-graph build and the label loop.
 
 ``reference_build`` is the state-graph build on Python lists, a combine
-per candidate for its clustering keys and the generic meet of combines for
-its cluster bounds: the oracle of the array build. ``reference_search`` is
-the label loop that pushes every child and pops every label, the oracle of
-the loop that skips the labels keyed above its bound. Both must agree with
-``crewroute.rcsp`` field for field and counter for counter.
+per candidate for its clustering keys and a left fold of meets of combines
+(``reference_meet_of_combines``) for its cluster bounds: the oracle of the
+array build. ``reference_search`` is the label loop that pushes every child
+and pops every label, the oracle of the loop that skips the labels keyed
+above its bound. Both must agree with ``crewroute.rcsp`` field for field
+and counter for counter.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from bisect import bisect_left
 
 from crewroute.rcsp import (
     PartialPath,
-    ResourceAlgebra,
     SolveStats,
     StateGraph,
     resolve_kappa,
@@ -72,11 +72,21 @@ def reference_clusters(scalars, tops, kappa):
     return [sorted(order[a:e]) for a, e in zip(starts, ends)]
 
 
+def reference_meet_of_combines(algebra, resources, bounds, cands):
+    """``meet`` folded from the left over ``combine(resources[a],
+    bounds[s])`` for the ``(a, s)`` in ``cands``, which is not empty."""
+    acc = None
+    for a, s in cands:
+        q = algebra.combine(resources[a], bounds[s])
+        acc = q if acc is None else algebra.meet(acc, q)
+    return acc
+
+
 def reference_build(graph, algebra, kappa) -> StateGraph:
     """``build_state_graph`` on lists: each vertex in reverse topological
     order, its candidates keyed and clustered by ``reference_keys`` and
-    ``reference_clusters``, and each cluster bounded by the generic
-    ``ResourceAlgebra.meet_of_combines``."""
+    ``reference_clusters``, and each cluster bounded by
+    ``reference_meet_of_combines``."""
     kap = resolve_kappa(kappa, len(graph.kept))
     resources = graph.resources
     states_of: list[list[int]] = [[] for _ in range(graph.n_vertices)]
@@ -107,7 +117,7 @@ def reference_build(graph, algebra, kappa) -> StateGraph:
             clusters = [[cands[i] for i in run]
                         for run in reference_clusters(scalars, tops, kap)]
         for arcs in clusters:
-            new_state(v, arcs, ResourceAlgebra.meet_of_combines(
+            new_state(v, arcs, reference_meet_of_combines(
                 algebra, resources, est, arcs))
 
     return StateGraph(

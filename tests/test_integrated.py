@@ -365,21 +365,20 @@ def test_session_forced_solves_match_fresh_solves(looping_week):
     conns = build_connections(inst)
     shorts = sorted(c.key for c in conns if c.kind == ConnectionKind.SHORT)
     session = RoutingSession(inst, conns, inst.rules.n_a)
-    assert solve_routing(inst, conns, session=session).status == "optimal"
+    assert solve_routing(inst, session=session).status == "optimal"
     assert session.basis is not None
     rng = random.Random(5)
     statuses = set()
     for _ in range(12):
         s = rng.sample(shorts, rng.randrange(1, 7))
-        got = solve_routing(inst, conns, forced=s, session=session)
-        fresh = solve_routing(inst, conns, forced=s)
+        got = solve_routing(inst, forced=s, session=session)
+        fresh = solve_routing(inst, forced=s)
         assert got.status == fresh.status
         assert got.n_aircraft == fresh.n_aircraft
         statuses.add(got.status)
     assert statuses == {"optimal", "infeasible"}
     with pytest.raises(ValueError, match="another instance or budget"):
-        solve_routing(inst, conns, budget=inst.rules.n_a + 1,
-                      session=session)
+        solve_routing(inst, budget=inst.rules.n_a + 1, session=session)
 
 
 def test_loop_decodes_only_the_columns_it_adds(monkeypatch, looping_week):

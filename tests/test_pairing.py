@@ -58,6 +58,8 @@ def test_window_arcs_toy(toy2):
     assert o_tag[1] == 0 and d_tag[1] == 1
     day_tag = net.arc_info[kinds.index("day")]
     assert day_tag[1].key == (0, 1)
+    # the leg each arc enters, none on the arc into the destination
+    assert net.arc_legs == [{"o": 0, "day": 1, "d": None}[k] for k in kinds]
 
 
 def test_connection_arcs_stay_inside_window():

@@ -32,6 +32,7 @@ from crewroute.rcsp import (
     build_state_graph,
     update_bounds,
 )
+from rcsp_reference import reference_meet_of_combines
 
 
 def _alg(**kw) -> PairingAlgebra:
@@ -301,14 +302,14 @@ def test_completion_cost_matches_reference_bit_for_bit():
 
 
 # ---------------------------------------------------------------------------
-# the fused state-graph build kernels and the ordered completion scan
+# the state-graph build kernels and the ordered completion scan
 
 
 def test_build_kernels_match_reference_bit_for_bit():
-    # the array kernels of the clustered build and the fused meet of
-    # combines against combine, scalar, is_top and the generic meet fold:
-    # BOT, TOP and MULTI cores on both sides, z off the dyadic grid and z
-    # of both zero signs, runs of one member
+    # the array kernels of the clustered build against combine, scalar,
+    # is_top and the reference meet fold: BOT, TOP and MULTI cores on both
+    # sides, z off the dyadic grid and z of both zero signs, runs of one
+    # member
     rng = random.Random(43)
     for _ in range(300):
         alg = small_pairing_algebra(rng)
@@ -322,9 +323,6 @@ def test_build_kernels_match_reference_bit_for_bit():
         for k in (1, 2, rng.randrange(3, 40)):
             cands = sorted((rng.randrange(len(resources)),
                             rng.randrange(len(bounds))) for _ in range(k))
-            assert (repr(alg.meet_of_combines(resources, bounds, cands))
-                    == repr(ResourceAlgebra.meet_of_combines(
-                        alg, resources, bounds, cands)))
             arcs = [resources[a] for a, _ in cands]
             ends = [bounds[s] for _, s in cands]
             assert repr(alg.from_array(alg.to_array(arcs))) == repr(arcs)
@@ -339,8 +337,8 @@ def test_build_kernels_match_reference_bit_for_bit():
             starts = np.array([0] + cuts)
             met = alg.from_array(alg.meet_runs(combined, starts))
             assert repr(met) == repr([
-                ResourceAlgebra.meet_of_combines(alg, resources, bounds,
-                                                 cands[a:b])
+                reference_meet_of_combines(alg, resources, bounds,
+                                           cands[a:b])
                 for a, b in zip([0] + cuts, cuts + [k])])
 
 

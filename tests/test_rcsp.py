@@ -368,6 +368,23 @@ def test_update_bounds_matches_full_dp_pairing():
                     assert repr(a) == repr(b)
 
 
+def test_update_bounds_reprices_the_arcs():
+    # update_bounds alone moves the graph's arcs to the new scalars, so the
+    # search combines labels with the arcs the bounds were refreshed for
+    rng = random.Random(37)
+    for _ in range(10):
+        alg = small_pairing_algebra(rng)
+        g = random_pairing_dag(rng)
+        built = g.resources
+        sg = build_state_graph(g, alg, rng.choice((1, 3)))
+        for _ in range(3):
+            z = [dyadic(rng) for _ in g.arcs]
+            update_bounds(sg, z, alg)
+            assert repr(g.resources) == repr(
+                [alg.with_scalar(q, x) for q, x in zip(built, z)])
+            assert repr(compute_bounds(sg, alg)) == repr(sg.bounds)
+
+
 # ---------------------------------------------------------------------------
 # search
 
