@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .instance import Connection, Instance, build_connections
+from .instance import Instance, build_connections
 from .pairing import CutRow, PairingResult, PairingSession, solve_crew_pairing
 from .routing import RoutingResult, RoutingSession, solve_routing
 
@@ -105,7 +105,6 @@ def cut_for(s: frozenset, gamma: float) -> CutRow:
 
 def solve_integrated(
     inst: Instance,
-    connections: list[Connection] | None = None,
     gamma: float | None = None,
     iteration_limit: int = 100,
     kappa=None,
@@ -116,8 +115,7 @@ def solve_integrated(
         gamma = inst.rules.gamma
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must be in (0, 1], got {gamma!r}")
-    if connections is None:
-        connections = build_connections(inst)
+    connections = build_connections(inst)
 
     # One pairing and one routing session for the whole loop: the pairing
     # session holds the cuts, each iteration adds its cut to the same

@@ -42,7 +42,7 @@ def solve_mip(
     ]
     nodes = 0
     root_basis: Basis | None = None
-    binaries = [j for j in range(lp.n_vars) if lp.binary[j]]
+    binaries = np.flatnonzero(lp.binary)
 
     while heap:
         bound, _, fixes, basis = heapq.heappop(heap)
@@ -66,17 +66,12 @@ def solve_mip(
             continue
 
         x = sol.x
-        frac_j = -1
-        frac_best = TOL_INT
-        for j in binaries:
-            frac = min(x[j], 1.0 - x[j])
-            if frac > frac_best:
-                frac_best = frac
-                frac_j = j
-        if frac_j < 0:
+        xb = x[binaries]
+        frac = np.minimum(xb, 1.0 - xb)
+        i = int(np.argmax(frac)) if frac.size else -1
+        if i < 0 or frac[i] <= TOL_INT:
             x_int = x.copy()
-            for j in binaries:
-                x_int[j] = round(x_int[j])
+            x_int[binaries] = np.round(xb)
             obj = lp.objective_value(x_int)
             if obj < incumbent_obj - PRUNE_EPS:
                 incumbent_obj = obj
@@ -86,7 +81,7 @@ def solve_mip(
         for val in (1.0, 0.0):
             seq += 1
             child = dict(fixes)
-            child[frac_j] = (val, val)
+            child[int(binaries[i])] = (val, val)
             heapq.heappush(heap, (sol.objective, seq, child, sol.basis))
 
     if incumbent_x is None:

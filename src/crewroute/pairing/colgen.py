@@ -23,7 +23,7 @@ arc resources and state graphs are built once per session. The integrated
 loop adds each cut to its session and re-solves instead of restarting, and
 a report's ``n_columns`` is the size of the session's pool.
 ``solve_crew_pairing`` either opens a session with no cuts or resumes the
-one it is given under that session's own cuts.
+one it is given under that session's own cuts and kappa.
 
 The master LP is solved with column upper bounds relaxed to infinity. The
 cover equalities already imply y <= 1, so the optimum is unchanged, and it
@@ -333,7 +333,6 @@ class PairingSession:
 
 def solve_crew_pairing(
     inst: Instance,
-    connections: list[Connection] | None = None,
     kappa=None,
     path_limit: int = 200_000,
     node_limit: int = 200_000,
@@ -343,11 +342,13 @@ def solve_crew_pairing(
     """Solve crew pairing by column generation.
 
     ``session`` resumes an open session of ``inst`` under its own cuts, with
-    its networks, kappa, column pool and basis. Without one, a session with
-    no cuts is opened.
+    its networks, kappa, column pool and basis, so it takes no ``kappa``.
+    Without one, a session with no cuts is opened.
     """
     if session is None:
-        session = PairingSession(inst, connections, kappa)
+        session = PairingSession(inst, kappa=kappa)
     elif session.inst is not inst:
         raise ValueError("session belongs to another instance")
+    elif kappa is not None:
+        raise ValueError("a resumed session prices at its own kappa")
     return session.solve(path_limit, node_limit, max_rounds)

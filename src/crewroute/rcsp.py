@@ -657,24 +657,6 @@ def update_bounds(sg: StateGraph, arc_scalar, algebra) -> None:
     sg.ordered_for = algebra
 
 
-class PartialPath:
-    __slots__ = ("vertex", "resource", "parent", "arc_id")
-
-    def __init__(self, vertex, resource, parent, arc_id):
-        self.vertex = vertex
-        self.resource = resource
-        self.parent = parent
-        self.arc_id = arc_id
-
-    def arc_path(self) -> tuple[int, ...]:
-        arcs = []
-        node = self
-        while node.parent is not None:
-            arcs.append(node.arc_id)
-            node = node.parent
-        return tuple(reversed(arcs))
-
-
 @dataclass
 class SolveStats:
     paths_enumerated: int = 0
@@ -683,13 +665,23 @@ class SolveStats:
     truncated: bool = False
 
 
+def _arc_path(label) -> tuple[int, ...]:
+    """The arcs from the origin to a (vertex, resource, parent, arc) label."""
+    arcs = []
+    while label[2] is not None:
+        arcs.append(label[3])
+        label = label[2]
+    return tuple(reversed(arcs))
+
+
 def _search(sg: StateGraph, algebra, ub: float, found: list | None,
             use_dom: bool, use_low: bool, path_limit: int = 0):
     """The label loop of ``solve`` and ``enumerate_within``, labels popped
-    by completion key, ties in push order. Incumbent mode (``found`` is
-    None): a cheaper feasible o-d label lowers ``ub``. Collect mode: each
-    feasible o-d label costing at most ``ub`` goes to ``found`` until one
-    beyond ``path_limit`` sets ``truncated``. Returns (ub, best, stats).
+    by completion key, ties in push order. A label is a (vertex, resource,
+    parent label, arc) tuple. Incumbent mode (``found`` is None): a cheaper
+    feasible o-d label lowers ``ub``. Collect mode: each feasible o-d label
+    costing at most ``ub`` goes to ``found`` until one beyond
+    ``path_limit`` sets ``truncated``. Returns (ub, best label, stats).
 
     With Low on, a label whose key is above ``ub`` can only be popped and
     cut, as ``ub`` never rises, so the loop skips the work and counts it
@@ -699,18 +691,18 @@ def _search(sg: StateGraph, algebra, ub: float, found: list | None,
     so only a run that does not counts the children it skipped.
     """
     graph = sg.graph
-    stats = SolveStats()
-    best: PartialPath | None = None
-
+    dest = graph.dest
     if graph.origin not in graph.kept:
-        return ub, None, stats
+        return ub, None, SolveStats()
 
-    root = PartialPath(graph.origin, algebra.neutral, None, None)
+    best = None
+    paths = cut_dom = cut_low = 0
+    truncated = False
     seq = 0
     ordered = sg.ordered_for is algebra
-    key = algebra.completion_cost(root.resource, sg.bounds,
+    key = algebra.completion_cost(algebra.neutral, sg.bounds,
                                   sg.states_of[graph.origin], ordered)
-    heap = [(key, seq, root)]
+    heap = [(key, seq, (graph.origin, algebra.neutral, None, None))]
     nondom: dict[int, list] = {}
     skipped = 0  # children keyed above ub, never pushed
 
@@ -718,15 +710,13 @@ def _search(sg: StateGraph, algebra, ub: float, found: list | None,
         if use_low and found is None and not heap[0][0] <= ub:
             # each label left would be popped, and cut by Low unless it is
             # at the destination
-            stats.paths_enumerated += len(heap)
-            stats.cut_low += sum(1 for e in heap
-                                 if e[2].vertex != graph.dest)
+            paths += len(heap)
+            cut_low += sum(1 for e in heap if e[2][0] != dest)
             break
         key, _, lab = heapq.heappop(heap)
-        stats.paths_enumerated += 1
-        v = lab.vertex
-        if v == graph.dest:
-            q = lab.resource
+        v, q, _, _ = lab
+        paths += 1
+        if v == dest:
             if algebra.infeasible(q):
                 continue
             c = algebra.cost(q)
@@ -736,42 +726,41 @@ def _search(sg: StateGraph, algebra, ub: float, found: list | None,
                     best = lab
             elif c <= ub:
                 if len(found) >= path_limit:
-                    stats.truncated = True
+                    truncated = True
                     break
-                found.append((lab.arc_path(), q, c))
+                found.append((_arc_path(lab), q, c))
             continue
         # Cheap test first: the completion bound was computed at push time
         # and sits in the popped key, while dominance scans a front.
         if use_low and not key <= ub:
-            stats.cut_low += 1
+            cut_low += 1
             continue
         if use_dom:
             front = nondom.setdefault(v, [])
-            if any(algebra.leq(q2, lab.resource) for q2 in front):
-                stats.cut_dom += 1
+            if any(algebra.leq(q2, q) for q2 in front):
+                cut_dom += 1
                 continue
-            front[:] = [q2 for q2 in front if not algebra.leq(lab.resource, q2)]
-            front.append(lab.resource)
+            front[:] = [q2 for q2 in front if not algebra.leq(q, q2)]
+            front.append(q)
         limit = ub if use_low else math.inf
         for aid in graph.out[v]:
             head = graph.arcs[aid][1]
-            q2 = algebra.combine(lab.resource, graph.resources[aid])
-            if head != graph.dest and algebra.infeasible(q2):
+            q2 = algebra.combine(q, graph.resources[aid])
+            if head != dest and algebra.infeasible(q2):
                 continue
             child_key = algebra.completion_cost(q2, sg.bounds,
                                                 sg.states_of[head], ordered,
                                                 limit)
-            if not child_key <= limit and head != graph.dest:
+            if not child_key <= limit and head != dest:
                 skipped += 1
                 continue
             seq += 1
-            child = PartialPath(head, q2, lab, aid)
-            heapq.heappush(heap, (child_key, seq, child))
+            heapq.heappush(heap, (child_key, seq, (head, q2, lab, aid)))
 
-    if not stats.truncated:
-        stats.paths_enumerated += skipped
-        stats.cut_low += skipped
-    return ub, best, stats
+    if not truncated:
+        paths += skipped
+        cut_low += skipped
+    return ub, best, SolveStats(paths, cut_dom, cut_low, truncated)
 
 
 def solve(
@@ -795,7 +784,7 @@ def solve(
                               "dom" in tests, "low" in tests)
     if best is None:
         return math.inf, None, stats
-    return ub, best.arc_path(), stats
+    return ub, _arc_path(best), stats
 
 
 def enumerate_within(

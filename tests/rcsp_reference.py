@@ -15,12 +15,7 @@ import heapq
 import math
 from bisect import bisect_left
 
-from crewroute.rcsp import (
-    PartialPath,
-    SolveStats,
-    StateGraph,
-    resolve_kappa,
-)
+from crewroute.rcsp import SolveStats, StateGraph, resolve_kappa
 
 
 def reference_keys(algebra, resources, bounds, cands):
@@ -129,26 +124,38 @@ def reference_build(graph, algebra, kappa) -> StateGraph:
     )
 
 
+def reference_arc_path(label) -> tuple[int, ...]:
+    """The arcs from the origin to a (vertex, resource, parent, arc)
+    label of ``reference_search``."""
+    arcs = []
+    node = label
+    while node[2] is not None:
+        arcs.append(node[3])
+        node = node[2]
+    return tuple(reversed(arcs))
+
+
 def reference_search(sg, algebra, ub, found, use_dom, use_low,
                      path_limit=0):
     """``rcsp._search`` as it pushed and popped every label: the label loop
     of ``solve`` and ``enumerate_within``, labels popped by completion key,
-    ties in push order. Incumbent mode (``found`` is None): a cheaper
-    feasible o-d label lowers ``ub``. Collect mode: each feasible o-d label
-    costing at most ``ub`` goes to ``found`` until one beyond
-    ``path_limit`` sets ``truncated``. Returns (ub, best, stats).
+    ties in push order. A label is a (vertex, resource, parent label, arc)
+    tuple. Incumbent mode (``found`` is None): a cheaper feasible o-d label
+    lowers ``ub``. Collect mode: each feasible o-d label costing at most
+    ``ub`` goes to ``found`` until one beyond ``path_limit`` sets
+    ``truncated``. Returns (ub, best label, stats).
     """
     graph = sg.graph
     stats = SolveStats()
-    best: PartialPath | None = None
+    best = None
 
     if graph.origin not in graph.kept:
         return ub, None, stats
 
-    root = PartialPath(graph.origin, algebra.neutral, None, None)
+    root = (graph.origin, algebra.neutral, None, None)
     seq = 0
     ordered = sg.ordered_for is algebra
-    key = algebra.completion_cost(root.resource, sg.bounds,
+    key = algebra.completion_cost(root[1], sg.bounds,
                                   sg.states_of[graph.origin], ordered)
     heap = [(key, seq, root)]
     nondom: dict[int, list] = {}
@@ -156,9 +163,8 @@ def reference_search(sg, algebra, ub, found, use_dom, use_low,
     while heap:
         key, _, lab = heapq.heappop(heap)
         stats.paths_enumerated += 1
-        v = lab.vertex
+        v, q, _, _ = lab
         if v == graph.dest:
-            q = lab.resource
             if algebra.infeasible(q):
                 continue
             c = algebra.cost(q)
@@ -170,7 +176,7 @@ def reference_search(sg, algebra, ub, found, use_dom, use_low,
                 if len(found) >= path_limit:
                     stats.truncated = True
                     break
-                found.append((lab.arc_path(), q, c))
+                found.append((reference_arc_path(lab), q, c))
             continue
         # Cheap test first: the completion bound was computed at push time
         # and sits in the popped key, while dominance scans a front.
@@ -179,18 +185,18 @@ def reference_search(sg, algebra, ub, found, use_dom, use_low,
             continue
         if use_dom:
             front = nondom.setdefault(v, [])
-            if any(algebra.leq(q2, lab.resource) for q2 in front):
+            if any(algebra.leq(q2, q) for q2 in front):
                 stats.cut_dom += 1
                 continue
-            front[:] = [q2 for q2 in front if not algebra.leq(lab.resource, q2)]
-            front.append(lab.resource)
+            front[:] = [q2 for q2 in front if not algebra.leq(q, q2)]
+            front.append(q)
         for aid in graph.out[v]:
             head = graph.arcs[aid][1]
-            q2 = algebra.combine(lab.resource, graph.resources[aid])
+            q2 = algebra.combine(q, graph.resources[aid])
             if head != graph.dest and algebra.infeasible(q2):
                 continue
             seq += 1
-            child = PartialPath(head, q2, lab, aid)
+            child = (head, q2, lab, aid)
             child_key = algebra.completion_cost(q2, sg.bounds,
                                                 sg.states_of[head], ordered)
             heapq.heappush(heap, (child_key, seq, child))

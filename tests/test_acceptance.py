@@ -186,7 +186,7 @@ def test_criterion_4_pairing_matches_oracle(capsys):
     n_opt = 0
     for inst in insts:
         conns = build_connections(inst)
-        got = solve_crew_pairing(inst, conns)
+        got = solve_crew_pairing(inst)
         status, objective, _ = crew_pairing_brute_force(inst, conns)
         assert got.status == status
         assert got.provably_optimal
@@ -271,7 +271,7 @@ def test_criterion_6_integrated_matches_oracle(capsys):
 
     n_opt = 0
     for inst, conns in picked:
-        exact = solve_integrated(inst, conns, gamma=1.0)
+        exact = solve_integrated(inst, gamma=1.0)
         status, objective = integrated_brute_force(inst, conns)
         assert exact.status == status
         assert len({c.conns for c in exact.cuts}) == len(exact.cuts)
@@ -282,7 +282,7 @@ def test_criterion_6_integrated_matches_oracle(capsys):
 
         relaxed = {}
         for gamma in (0.9, 0.6):
-            r = solve_integrated(inst, conns, gamma=gamma)
+            r = solve_integrated(inst, gamma=gamma)
             assert len({c.conns for c in r.cuts}) == len(r.cuts)
             if not math.isinf(r.objective) and r.lower_bound is not None:
                 assert r.objective >= r.lower_bound - 1e-9
@@ -309,7 +309,7 @@ def test_criterion_7_bound_strength(capsys):
 
     runs = {}
     for kappa in (50, 1):
-        res = solve_crew_pairing(inst, conns, kappa=kappa, max_rounds=15)
+        res = solve_crew_pairing(inst, kappa=kappa, max_rounds=15)
         st = res.stats
         solves = st["pricing_rounds"] * n_windows
         runs[kappa] = {

@@ -62,3 +62,25 @@ def test_hooked_search_layers_are_called():
     for count, stat in (("paths", "paths_enumerated"), ("cut_dom", "cut_dom"),
                         ("cut_low", "cut_low")):
         assert sum(s.counts[count] for s in spans) == res.stats[stat]
+
+
+def test_each_solve_builds_its_connections_once():
+    # every public solver takes an Instance and builds the week's
+    # connections from it through a module global the hooks wrap: one
+    # instance.connections span per call, none skipped and none repeated
+    from crewroute.generate import generate_instance
+    from crewroute.integrated import solve_integrated
+    from crewroute.pairing import solve_crew_pairing
+    from crewroute.routing import minimize_aircraft, solve_routing
+
+    inst = generate_instance(4, 2, 16, 3, 0)
+    for solver in (solve_routing, minimize_aircraft, solve_crew_pairing,
+                   solve_integrated):
+        tracer = _hooks().Tracer()
+        tracer.install()
+        try:
+            solver(inst)
+        finally:
+            tracer.uninstall()
+        names = [s.name for s in tracer.spans]
+        assert names.count("instance.connections") == 1, solver.__name__

@@ -220,7 +220,7 @@ def test_matches_joint_brute_force():
     n_optimal = 0
     for inst in cases:
         conns = build_connections(inst)
-        got = solve_integrated(inst, conns, gamma=1.0)
+        got = solve_integrated(inst, gamma=1.0)
         status, objective = integrated_brute_force(inst, conns)
         assert got.status == status
         if status == "optimal":
@@ -447,3 +447,23 @@ def test_session_solves_under_its_own_cuts(overcut):
     assert session.cuts == (cut,)
     with pytest.raises(ValueError, match="another instance"):
         solve_crew_pairing(_overcut(2), session=session)
+
+
+def test_resumed_session_refuses_a_kappa(overcut, looping_week):
+    # a session prices at the kappa it was opened with, so a kappa given
+    # with it is an input error that leaves the session as it was; the
+    # integrated loop opens its session at its kappa and resumes it bare
+    from crewroute.pairing import PairingSession
+
+    session = PairingSession(overcut, kappa=2)
+    with pytest.raises(ValueError, match="kappa"):
+        solve_crew_pairing(overcut, kappa=1, session=session)
+    assert session.basis is None and not session.master.columns
+    resumed = solve_crew_pairing(overcut, session=session)
+    fresh = solve_crew_pairing(overcut, kappa=2)
+    assert resumed.status == "optimal"
+    assert resumed.as_dict() == fresh.as_dict()
+
+    res = solve_integrated(looping_week, gamma=1.0, kappa=1)
+    assert res.iterations >= 2
+    assert set(res.pairing.stats["kappa"]) == {1}

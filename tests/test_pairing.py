@@ -268,7 +268,7 @@ def test_session_rejects_cuts_on_connections_the_master_does_not_count():
     inst = generate_instance(n_airports=4, n_bases=2, n_legs=24,
                              n_aircraft=3, seed=0, rules_overrides={"T": 2})
     conns = build_connections(inst)
-    uncut = solve_crew_pairing(inst, conns)
+    uncut = solve_crew_pairing(inst)
     shorts = frozenset(k for p in uncut.pairings for k in p.shorts)
     assert shorts
     day_crew = frozenset(c.key for c in conns
@@ -466,7 +466,7 @@ def test_colgen_matches_brute_force_batch():
                                  n_legs=8 + (seed % 4), n_aircraft=3,
                                  seed=seed)
         conns = build_connections(inst)
-        got = solve_crew_pairing(inst, conns)
+        got = solve_crew_pairing(inst)
         want_status, want_obj, _ = crew_pairing_brute_force(inst, conns)
         assert got.status == want_status
         if want_status == "optimal":
@@ -576,7 +576,7 @@ def test_search_counters_match_reference_loop(kappa):
     # fixed duals of the completion pins and one random dual set.
     from crewroute.pairing.colgen import PRICING_TOL
     from crewroute.rcsp import enumerate_within, solve
-    from rcsp_reference import reference_search
+    from rcsp_reference import reference_arc_path, reference_search
 
     def counters(st):
         return (st.paths_enumerated, st.cut_dom, st.cut_low, st.truncated)
@@ -593,7 +593,8 @@ def test_search_counters_match_reference_loop(kappa):
                     if ref_best is None:
                         assert (cost, path) == (math.inf, None)
                     else:
-                        assert (cost, path) == (ref_ub, ref_best.arc_path())
+                        assert (cost, path) == (
+                            ref_ub, reference_arc_path(ref_best))
                     assert counters(st) == counters(ref_st)
             for limit in (200_000, 100):
                 found, st = enumerate_within(sg, alg, 25.0, limit)
