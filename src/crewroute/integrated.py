@@ -20,7 +20,8 @@ cuts: each cut is added to it (``add_cut``) as soon as routing rejects S,
 on the networks, column pool and master basis of the previous iteration,
 and pairing resumes from there instead of starting over. They share one
 ``RoutingSession`` too: the routing graph and arc-flow model are built
-once, and each forced solve only appends its forcing rows.
+once, and each forced solve only closes, for the time of the solve, the
+arcs that would enter a forced connection's head leg from another leg.
 
 The first time routing rejects a non-empty S, the loop routes once more
 with nothing forced. If the fleet cannot fly the week at all, no crew plan

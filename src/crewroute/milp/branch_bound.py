@@ -10,7 +10,7 @@ Every node carries its parent's optimal basis: a child differs from its
 parent by one fixed binary, so its LP resumes from that basis with a few
 dual simplex pivots instead of a cold crash-started solve. The root's
 optimal basis is returned too, so a caller that appends rows to the model
-can start its next solve from it.
+or changes its bounds can start its next solve from it.
 """
 
 from __future__ import annotations

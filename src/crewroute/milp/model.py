@@ -41,7 +41,9 @@ class LinearProgram:
 
     ``columns[j]`` is ``(rows, vals)``: the nonzeros of variable ``j``, rows
     strictly increasing. Rows append to the columns they touch; a variable
-    added after rows exist brings its own coefficients in those rows.
+    added after rows exist brings its own coefficients in those rows. Rows
+    and columns are only ever appended, never deleted, so every ``Basis``
+    of the model names rows and variables that still exist.
     """
 
     def __init__(self):
@@ -116,18 +118,6 @@ class LinearProgram:
         self.relations.append(relation)
         self.rhs.append(float(rhs))
         return i
-
-    def truncate_rows(self, n_rows: int) -> None:
-        """Delete every row from ``n_rows`` on, undoing the ``add_row`` calls
-        that appended them."""
-        if not 0 <= n_rows <= self.n_rows:
-            raise ValueError(f"cannot keep {n_rows} of {self.n_rows} rows")
-        for rows, vals in self.columns:
-            while rows and rows[-1] >= n_rows:
-                rows.pop()
-                vals.pop()
-        del self.relations[n_rows:]
-        del self.rhs[n_rows:]
 
     def dense_matrix(self) -> np.ndarray:
         a = np.zeros((self.n_rows, self.n_vars))

@@ -120,7 +120,6 @@ class _WindowPricer:
         graph = net.graph
         graph.resources = arc_resources(net, inst, base_algebra, {})
         self.state_graph = build_state_graph(graph, base_algebra, kappa)
-        self.algebra = base_algebra
         # Duals only move z: keep each arc's dual-free z and the short
         # connection it flies; net.arc_legs holds the leg whose cover dual
         # it pays.
@@ -134,7 +133,6 @@ class _WindowPricer:
         for aid, key in self.short_arcs:
             if key in conn_duals:
                 z[aid] -= conn_duals[key]
-        self.algebra = algebra
         update_bounds(self.state_graph, z, algebra)
         # Pricing only wants columns with reduced cost below -PRICING_TOL,
         # so seed the incumbent there: labels that cannot beat it die early,
@@ -300,7 +298,8 @@ class PairingSession:
         # converged duals is within the optimality gap.
         threshold = (c_ub - c_lb) + COMPLETION_PAD
         for pricer in pricers:
-            entries, st = enumerate_within(pricer.state_graph, pricer.algebra,
+            entries, st = enumerate_within(pricer.state_graph,
+                                           pricer.state_graph.ordered_for,
                                            threshold, path_limit)
             tally(st)
             truncated = truncated or st.truncated

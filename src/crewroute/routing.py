@@ -12,8 +12,15 @@ Each selected arc spans the tail leg's flight plus the ground time to the
 head leg's departure. The number of times that span contains the weekly
 Monday-midnight instant equals, summed over a route, the number of weeks
 the route takes, and one aircraft is needed per week of route span. The
-fleet budget row caps that sum; forcing rows require chosen connections to
-be flown, which is how crew-side short connections are imposed.
+fleet budget row caps that sum.
+
+Crew-side short connections are imposed by forcing them to be flown. Leg
+b's cover row lets exactly one arc into b carry flow, so "fly (a, b)" is
+the same constraint as "no arc into b from a leg other than a": a forced
+solve closes those arcs (upper bound 0), which gives the same integer and
+LP feasible sets as a row over (a, b)'s arcs. When the maintenance cap or
+the pruning below dropped every arc of (a, b), every arc into b is closed
+and b's cover row proves the model infeasible.
 
 Only arcs on a directed cycle of the (leg, k) graph enter the model: an arc
 is kept when its two ends lie in one strongly connected component. A
@@ -24,17 +31,17 @@ flow row. A leg left without arcs keeps an empty cover row, which the LP
 proves infeasible. ``uncoverable_legs`` is found before the pruning, so it
 still names only the legs with no arc in or out under the maintenance cap.
 
-A ``RoutingSession`` builds the graph and the model without forcing rows
-once per week and budget. Each solve checks its forced keys against the
-week's connections, so an unknown key is a ``ValueError`` even on a week
-that no routing can fly, then appends its forcing rows, runs the MIP and
-deletes the rows again; ``build_ar_model`` itself has no forcing rows. The
-root LP basis of the session's last unforced solve, with the slacks of the
-forcing rows added, starts every later forced solve, so the integrated
-loop re-solves one model instead of rebuilding it. Routing holds no cuts:
-they live in the loop's pairing session, and routing only sees each
-iteration's forced S. ``solve_routing`` without a session, and
-``minimize_aircraft``, open a throwaway session and solve cold.
+A ``RoutingSession`` builds the graph and the model once per week and
+budget. Each solve checks its forced keys against the week's connections,
+so an unknown key is a ``ValueError`` even on a week that no routing can
+fly, then closes the arcs its keys rule out, runs the MIP and reopens
+them; the model's rows and columns never change. The root LP basis of the
+session's last unforced solve starts every later forced solve as it is,
+so the integrated loop re-solves one model instead of rebuilding it.
+Routing holds no cuts: they live in the loop's pairing session, and
+routing only sees each iteration's forced S. ``solve_routing`` without a
+session, and ``minimize_aircraft``, open a throwaway session and solve
+cold.
 """
 
 from __future__ import annotations
@@ -65,7 +72,6 @@ class RoutingGraph:
     arcs: list[RoutingArc]
     vertex_of: dict[tuple[int, int], int]
     in_arcs_of_leg: dict[int, list[int]]
-    arcs_of_conn: dict[tuple[int, int], list[int]]
     conn_keys: set[tuple[int, int]]
     # Legs with no arc in or no arc out under the maintenance cap, found
     # before the arcs on no cycle are dropped.
@@ -172,15 +178,13 @@ def build_routing_graph(
     comp = _components(succ)
     arcs: list[RoutingArc] = []
     in_arcs: dict[int, list[int]] = {l.id: [] for l in inst.legs}
-    arcs_of_conn: dict[tuple[int, int], list[int]] = {}
     for u, v, c, k, k2, cross in candidates:
         if comp[u] != comp[v]:
             continue
         aid = len(arcs)
         arcs.append(RoutingArc(c, k, k2, cross))
         in_arcs[c.to_leg].append(aid)
-        arcs_of_conn.setdefault(c.key, []).append(aid)
-    return RoutingGraph(inst, arcs, vertex_of, in_arcs, arcs_of_conn,
+    return RoutingGraph(inst, arcs, vertex_of, in_arcs,
                         conn_keys={c.key for c in connections},
                         uncoverable_legs=uncoverable)
 
@@ -211,22 +215,6 @@ def build_ar_model(
                  for i, a in enumerate(graph.arcs) if a.crossings}
         lp.add_row(coefs, "<=", float(budget))
     return lp, x
-
-
-def _add_forcing_rows(
-    lp: LinearProgram,
-    graph: RoutingGraph,
-    x: list[int],
-    forced: list[tuple[int, int]],
-) -> None:
-    """Append one row per forced connection key: its arcs are flown at
-    least once."""
-    for key in forced:
-        # A connection whose arcs were all dropped, by the maintenance cap
-        # or for lying on no cycle, yields an unsatisfiable row, i.e. a
-        # proof of infeasibility.
-        coefs = {x[i]: 1.0 for i in graph.arcs_of_conn.get(key, [])}
-        lp.add_row(coefs, ">=", 1.0)
 
 
 @dataclass
@@ -333,17 +321,19 @@ class RoutingSession:
                                  routes=[], forced=forced_keys,
                                  uncoverable_legs=gaps)
 
-        lp = self.lp
-        n_rows = lp.n_rows
+        # Close every arc into a forced key's head leg from another tail,
+        # keeping the bounds to reopen them.
+        lp, arcs = self.lp, self.graph.arcs
+        upper = {self.x[i]: lp.upper[self.x[i]] for a, b in forced_keys
+                 for i in self.graph.in_arcs_of_leg[b]
+                 if arcs[i].conn.from_leg != a}
         try:
-            _add_forcing_rows(lp, self.graph, self.x, forced_keys)
-            start = self.basis
-            if start is not None:
-                for row in range(n_rows, lp.n_rows):
-                    start = start.with_slack(row)
-            mip = solve_mip(lp, node_limit=node_limit, start=start)
+            for j in upper:
+                lp.upper[j] = 0.0
+            mip = solve_mip(lp, node_limit=node_limit, start=self.basis)
         finally:
-            lp.truncate_rows(n_rows)
+            for j, hi in upper.items():
+                lp.upper[j] = hi
         if not forced_keys:
             self.basis = mip.root_basis
 

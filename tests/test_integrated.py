@@ -344,6 +344,8 @@ def test_loop_routes_through_one_session(monkeypatch, looping_week):
         assert session.lp.columns == lp.columns
         assert session.lp.rhs == lp.rhs
         assert session.lp.relations == lp.relations
+        assert session.lp.lower == lp.lower
+        assert session.lp.upper == lp.upper
         solves.append(res)
         return res
 
@@ -379,6 +381,31 @@ def test_session_forced_solves_match_fresh_solves(looping_week):
     assert statuses == {"optimal", "infeasible"}
     with pytest.raises(ValueError, match="another instance or budget"):
         solve_routing(inst, budget=inst.rules.n_a + 1, session=session)
+
+
+def test_failed_forced_solve_reopens_the_arcs(monkeypatch, looping_week):
+    # a forced solve closes arcs only while its MIP runs: when the MIP
+    # raises, the model's bounds come back as they were
+    from crewroute import routing
+
+    inst = looping_week
+    shorts = sorted(c.key for c in build_connections(inst)
+                    if c.kind == ConnectionKind.SHORT)
+    session = RoutingSession(inst, budget=inst.rules.n_a)
+    lower, upper = list(session.lp.lower), list(session.lp.upper)
+    closed = []
+
+    def failing(lp, **kwargs):
+        closed.append(lp.upper.count(0.0))
+        raise RuntimeError("LP numeric failure during branch and bound")
+
+    monkeypatch.setattr(routing, "solve_mip", failing)
+    with pytest.raises(RuntimeError, match="numeric failure"):
+        session.solve(shorts[:3])
+    assert closed[0] > 0
+    assert session.lp.lower == lower
+    assert session.lp.upper == upper
+    assert session.basis is None
 
 
 def test_loop_decodes_only_the_columns_it_adds(monkeypatch, looping_week):

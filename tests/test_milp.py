@@ -840,11 +840,7 @@ def _assert_triangular_crash(lp: LinearProgram) -> None:
 
 
 def test_crash_basis_is_triangular_and_installs():
-    from crewroute.routing import (
-        _add_forcing_rows,
-        build_ar_model,
-        build_routing_graph,
-    )
+    from crewroute.routing import build_ar_model, build_routing_graph
 
     rng = random.Random(71)
     models = [_random_lp(rng, rng.randrange(3, 8), rng.randrange(2, 8),
@@ -856,7 +852,10 @@ def test_crash_basis_is_triangular_and_installs():
         inst = generate_instance(6, 2, n_legs, n_aircraft, 7)
         graph = build_routing_graph(inst)
         lp, x = build_ar_model(graph, inst.rules.n_a)
-        _add_forcing_rows(lp, graph, x, sorted(graph.conn_keys)[:3])
+        # one ">=" row per connection: its arcs are flown at least once
+        for key in sorted(graph.conn_keys)[:3]:
+            lp.add_row({x[i]: 1.0 for i, a in enumerate(graph.arcs)
+                        if a.conn.key == key}, ">=", 1.0)
         models.append(lp)
         models.append(build_ar_model(graph, None)[0])
     models.append(_random_master(rng).lp)

@@ -558,8 +558,8 @@ def test_completion_enumeration_is_pinned(kappa):
 
     got = []
     for pricer in next(_repriced_windows(kappa)):
-        entries, st = enumerate_within(pricer.state_graph, pricer.algebra,
-                                       25.0)
+        sg = pricer.state_graph
+        entries, st = enumerate_within(sg, sg.ordered_for, 25.0)
         listed = repr([(path, cost) for path, _q, cost in entries])
         got.append((len(entries),
                     hashlib.sha256(listed.encode()).hexdigest()[:12],
@@ -584,7 +584,8 @@ def test_search_counters_match_reference_loop(kappa):
     truncated = 0
     for pricers in _repriced_windows(kappa, n_random=1):
         for pricer in pricers:
-            sg, alg = pricer.state_graph, pricer.algebra
+            sg = pricer.state_graph
+            alg = sg.ordered_for
             for tests in (("dom", "low"), ("dom",), ("low",)):
                 for ub in (math.inf, -PRICING_TOL):
                     cost, path, st = solve(sg, alg, tests, ub)
@@ -619,7 +620,8 @@ def test_dominance_keeps_the_optimum_on_real_windows():
     for kappa in (1, 50):
         for pricers in _repriced_windows(kappa, n_random=9):
             for pricer in pricers:
-                sg, alg = pricer.state_graph, pricer.algebra
+                sg = pricer.state_graph
+                alg = sg.ordered_for
                 for ub in (math.inf, -PRICING_TOL):
                     cost, _, st = solve(sg, alg, initial_ub=ub)
                     assert cost == solve(sg, alg, tests=("low",),

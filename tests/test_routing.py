@@ -13,7 +13,7 @@ from crewroute.instance import WEEK_MINUTES, FlightLeg, build_connections
 from crewroute.milp.model import LinearProgram
 from crewroute.oracles import routing_brute_force
 from crewroute.routing import (
-    _add_forcing_rows,
+    RoutingSession,
     build_ar_model,
     build_routing_graph,
     minimize_aircraft,
@@ -115,9 +115,12 @@ def test_model_row_and_column_counts(toy2):
     assert lp.n_vars == len(x) == 2
     lp2, _ = build_ar_model(g, budget=None)
     assert lp2.n_rows == 4
-    # a forced solve adds one row per forced key
-    _add_forcing_rows(lp, g, x, [(0, 1)])
-    assert lp.n_rows == 6
+    # a forced solve leaves the model's rows and bounds as they were
+    session = RoutingSession(toy2, budget=1)
+    upper = list(session.lp.upper)
+    assert session.solve([(0, 1)]).status == "optimal"
+    assert session.lp.n_rows == 5
+    assert session.lp.upper == upper
 
 
 def test_row_count_formula_random():
@@ -344,7 +347,7 @@ def test_forced_connection_without_arcs_is_infeasible():
     )
     g = build_routing_graph(inst)
     assert (0, 2) in g.conn_keys
-    assert g.arcs_of_conn.get((0, 2), []) == []
+    assert not any(a.conn.key == (0, 2) for a in g.arcs)
     assert solve_routing(inst).status == "optimal"
     res = solve_routing(inst, forced=[(0, 2)])
     assert res.status == "infeasible"
@@ -372,6 +375,35 @@ def test_matches_brute_force_batch():
             for r in got.routes:
                 assert r.week_span >= 1
     assert agree_feasible >= 5
+
+
+def test_forced_routing_matches_oracle():
+    # forcing (a, b) is a's only successor in the oracle; a set that gives
+    # one tail two heads cannot be flown at all
+    rng = random.Random(29)
+    feasible = infeasible = 0
+    for seed in range(8):
+        for T in (1, 2, 3):
+            inst = generate_instance(n_airports=4, n_bases=2, n_legs=8,
+                                     n_aircraft=3, seed=seed,
+                                     rules_overrides={"T": T})
+            keys = sorted(c.key for c in build_connections(inst))
+            session = RoutingSession(inst, budget=inst.rules.n_a)
+            # the unforced solve's root basis starts the forced ones
+            solve_routing(inst, session=session)
+            for _ in range(6):
+                S = rng.sample(keys, rng.randint(1, min(3, len(keys))))
+                got = solve_routing(inst, forced=S, session=session)
+                if len({a for a, _ in S}) < len(S):
+                    assert got.status == "infeasible"
+                else:
+                    want = routing_brute_force(inst, forced=dict(S))
+                    assert (got.status == "optimal") == want.feasible
+                    if want.feasible:
+                        assert got.n_aircraft == want.min_aircraft
+                feasible += got.status == "optimal"
+                infeasible += got.status == "infeasible"
+    assert feasible >= 20 and infeasible >= 20
 
 
 def test_budget_feasibility_matches_oracle():
