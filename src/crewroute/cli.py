@@ -24,6 +24,7 @@ from .instance import (
 )
 from .integrated import solve_integrated
 from .pairing import solve_crew_pairing
+from .rcsp import resolve_kappa
 from .routing import minimize_aircraft, solve_routing
 
 _EXIT_BY_STATUS = {"optimal": 0, "feasible": 0, "infeasible": 2, "limit": 3}
@@ -38,17 +39,12 @@ def _emit(obj: dict, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_kappa(value: str):
-    if value == "auto":
-        return "auto"
+def _parse_kappa(value: str) -> int:
     try:
-        kappa = int(value)
+        return resolve_kappa(value if value == "auto" else int(value))
     except ValueError:
-        kappa = 0
-    if kappa < 1:
         raise argparse.ArgumentTypeError(
             "kappa must be an integer of at least 1 or 'auto'")
-    return kappa
 
 
 def _parse_limit(value: str) -> int:
@@ -109,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("pair", help="crew pairing by column generation")
     c.add_argument("instance")
     c.add_argument("--kappa", type=_parse_kappa, default=None,
-                   help="bound states per vertex, or 'auto'")
+                   help="bound states per vertex ('auto' is 1)")
     _add_pricing(c)
 
     i = sub.add_parser("integrated", help="pairing consistent with routing")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,20 +249,22 @@ class RoutingOracleResult:
 
 def routing_brute_force(
     inst: Instance,
-    forced: dict[int, int] | None = None,
+    forced: Iterable[tuple[int, int]] = (),
     budget: int | None = None,
     max_nodes: int = 2_000_000,
 ) -> RoutingOracleResult:
     """Enumerate successor permutations; check maintenance on raw times.
 
-    ``forced`` maps from-leg to to-leg for connections that must be flown
-    by one airplane. ``budget`` caps the total aircraft count (defaults to
+    ``forced`` holds (from-leg, to-leg) connections that must be flown by
+    one airplane: each makes to-leg the only successor of from-leg, so a
+    set that gives one leg two successors, or two predecessors, is
+    infeasible. ``budget`` caps the total aircraft count (defaults to
     rules.n_a); pass math.inf semantics via a large int to minimize freely.
     """
     succ = _airplane_successors(inst)
-    forced = forced or {}
-    for src, dst in forced.items():
-        if dst not in succ.get(src, []):
+    head_of: dict[int, int] = {}
+    for src, dst in forced:
+        if head_of.setdefault(src, dst) != dst or dst not in succ.get(src, []):
             return RoutingOracleResult(False, None, None)
     ids = sorted(succ)
     n = len(ids)
@@ -302,7 +305,7 @@ def routing_brute_force(
                 best_next = dict(next_of)
             return
         src = ids[i]
-        options = [forced[src]] if src in forced else succ[src]
+        options = [head_of[src]] if src in head_of else succ[src]
         for dst in options:
             if dst in used:
                 continue
@@ -511,10 +514,7 @@ def integrated_brute_force(inst: Instance, connections: list[Connection]):
     def flyable(picked: list[OraclePairing]) -> bool:
         if not _cover_side_rows_ok(picked, inst.rules):
             return False
-        forced: dict[int, int] = {}
-        for p in picked:
-            for a, b in p.shorts:
-                forced[a] = b
+        forced = [key for p in picked for key in p.shorts]
         return routing_brute_force(inst, forced=forced).feasible
 
     cost, chosen = _cheapest_cover(

@@ -39,7 +39,13 @@ from dataclasses import dataclass, field
 
 from ..instance import Connection, ConnectionKind, Instance, build_connections
 from ..milp import Basis, LpStatus, MipStatus, solve_lp, solve_mip
-from ..rcsp import build_state_graph, enumerate_within, solve, update_bounds
+from ..rcsp import (
+    build_state_graph,
+    enumerate_within,
+    resolve_kappa,
+    solve,
+    update_bounds,
+)
 from .algebra import PairingAlgebra
 from .master import CutRow, MasterProblem
 from .network import (
@@ -115,7 +121,7 @@ class _WindowPricer:
     """One window's network and the state graph that prices it."""
 
     def __init__(self, net: WindowNetwork, inst: Instance,
-                 base_algebra: PairingAlgebra, kappa):
+                 base_algebra: PairingAlgebra, kappa: int):
         self.net = net
         graph = net.graph
         graph.resources = arc_resources(net, inst, base_algebra, {})
@@ -156,7 +162,7 @@ class PairingSession:
         self.base_algebra = PairingAlgebra(rules.max_legs_per_duty,
                                            rules.F_max, rules.alpha,
                                            rules.beta)
-        kappa = rules.kappa if kappa is None else kappa
+        kappa = resolve_kappa(rules.kappa if kappa is None else kappa)
         self.pricers = [
             _WindowPricer(n, inst, self.base_algebra, kappa)
             for n in build_pricing_networks(inst, connections)

@@ -6,7 +6,15 @@ exact and algebraic identities can be asserted with ==.
 
 from __future__ import annotations
 
+import os
 import random
+
+# One BLAS thread, as perfbench/run.py sets: the dense simplex rounds
+# differently on more threads, so its pivot path, and every counter a test
+# pins downstream of it, would depend on the machine's core count. Set before
+# anything below loads numpy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import pytest
 

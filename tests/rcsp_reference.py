@@ -82,7 +82,7 @@ def reference_build(graph, algebra, kappa) -> StateGraph:
     order, its candidates keyed and clustered by ``reference_keys`` and
     ``reference_clusters``, and each cluster bounded by
     ``reference_meet_of_combines``."""
-    kap = resolve_kappa(kappa, len(graph.kept))
+    kap = resolve_kappa(kappa)
     resources = graph.resources
     states_of: list[list[int]] = [[] for _ in range(graph.n_vertices)]
     state_arcs: list[list[tuple[int, int]]] = []

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from conftest import airport, leg, make_instance
-from crewroute.cli import main
+from crewroute.cli import build_parser, main
 from crewroute.instance import dumps_instance
 
 
@@ -47,6 +47,15 @@ def test_bad_kappa_exits_two(capsys, toy2_path):
             main([command, toy2_path, "--kappa", value])
         assert exc.value.code == 2
         assert "kappa must be an integer" in capsys.readouterr().err
+
+
+def test_auto_kappa_is_kappa_1(capsys, toy2_path):
+    for command in ("pair", "integrated"):
+        args = build_parser().parse_args([command, toy2_path, "--kappa", "auto"])
+        assert args.kappa == 1
+        code, auto, _ = _run(capsys, [command, toy2_path, "--kappa", "auto"])
+        assert code == 0
+        assert _run(capsys, [command, toy2_path, "--kappa", "1"])[1] == auto
 
 
 @pytest.mark.parametrize("command, flag", [

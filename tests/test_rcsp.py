@@ -41,14 +41,23 @@ def _state_graph(graph, algebra, kappa):
     return sg
 
 
-def test_resolve_kappa_auto_thresholds():
-    assert resolve_kappa("auto", 99) == 1
-    assert resolve_kappa("auto", 100) == 50
-    assert resolve_kappa("auto", 299) == 50
-    assert resolve_kappa("auto", 300) == 150
-    assert resolve_kappa("auto", 1499) == 150
-    assert resolve_kappa("auto", 1500) == 250
-    assert resolve_kappa(7, 10) == 7
+def test_auto_kappa_prices_as_kappa_1():
+    # 'auto' is kappa 1 at every window size: on the 150-leg week two
+    # windows hold 100 or more kept vertices
+    from crewroute.generate import generate_instance
+    from crewroute.pairing import solve_crew_pairing
+    from crewroute.pairing.colgen import PairingSession
+
+    assert resolve_kappa("auto") == 1
+    assert resolve_kappa(7) == 7
+    inst = generate_instance(8, 2, 150, 13, 11)
+    assert inst.rules.kappa == "auto"
+    session = PairingSession(inst)
+    assert max(len(p.net.graph.kept) for p in session.pricers) >= 100
+    assert [p.state_graph.kappa for p in session.pricers] == [1] * 7
+    auto = solve_crew_pairing(inst, max_rounds=2)
+    one = solve_crew_pairing(inst, kappa=1, max_rounds=2)
+    assert auto.as_dict() == one.as_dict()
 
 
 @pytest.mark.parametrize("kappa", [2.7, 1.0, True, False, "7", None, 0, -3])
@@ -56,7 +65,7 @@ def test_resolve_kappa_rejects_non_integers(kappa):
     # the instance loader's rule: an integer of at least 1 or "auto", never
     # truncated
     with pytest.raises(ValueError):
-        resolve_kappa(kappa, 10)
+        resolve_kappa(kappa)
     g = RcspGraph(2, [(0, 1)], 0, 1, [(1.0, 0)])
     with pytest.raises(ValueError):
         build_state_graph(g, AdditiveCapacityAlgebra(1), kappa)
