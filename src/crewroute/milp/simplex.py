@@ -20,7 +20,9 @@ Dantzig pricing switches to Bland's rule permanently after a streak of
 degenerate pivots, which guarantees termination; a generous pivot cap
 backstops numerical trouble as a distinct NUMERIC_FAILURE status rather
 than a wrong answer. The basis inverse is maintained by eta updates and
-refactorized periodically.
+refactorized periodically. Both phases change the basis through
+``_Tableau.pivot`` and share the tableau's entering signs and basic costs,
+which ``_install`` sets and every pivot and bound flip keeps.
 
 The standard-form matrix is stored by columns (CSC: ``ptr``, ``rows``,
 ``vals``) and only its nonzeros are ever read, so work and memory grow with
@@ -105,7 +107,10 @@ def ratio_test(
 class _Tableau:
     """Standard-form working copy: equality rows, variables in [0, ub], and
     one artificial per row with ``ub = 0``, which a basis may name but no
-    pivot can enter. ``_install`` gives it its basis."""
+    pivot can enter. ``_install`` gives it its basis: ``basis``, ``vstat``,
+    ``binv`` and ``xb``, the basic costs ``cost_b``, and ``sign``, the
+    direction a nonbasic column may enter in (+1 up from its lower bound, -1
+    down from its upper, 0 when it is basic or fixed)."""
 
     def __init__(self, lp: LinearProgram, overrides=None):
         n = lp.n_vars
@@ -173,6 +178,25 @@ class _Tableau:
         k = self.ptr[ncols]
         return np.bincount(self.cols[:k], y[self.rows[:k]] * self.vals[:k], ncols)
 
+    def duals(self) -> np.ndarray:
+        """``c_B B^-1``."""
+        return self.cost_b @ self.binv
+
+    def pivot(self, r: int, j: int, u: np.ndarray, to_upper: bool,
+              value: float) -> None:
+        """The basic of row ``r`` leaves at its upper bound if ``to_upper``,
+        else at its lower; column ``j``, with ftran ``u``, enters at ``value``."""
+        leaving = self.basis[r]
+        self.vstat[leaving] = _AT_UPPER if to_upper else _AT_LOWER
+        self.sign[leaving] = ((-1.0 if to_upper else 1.0) if self.ub[leaving] > 0
+                              else 0.0)
+        eta_update(self.binv, u, r)
+        self.basis[r] = j
+        self.cost_b[r] = self.cost[j]
+        self.vstat[j] = _BASIC
+        self.sign[j] = 0.0
+        self.xb[r] = value
+
 
 def _recompute_xb(t: _Tableau) -> None:
     at_upper = np.flatnonzero(t.vstat == _AT_UPPER)
@@ -204,14 +228,9 @@ def _iterate(t: _Tableau, max_pivots: int) -> tuple[str, int]:
     since_refactor = 0
     ncols = t.cost.shape[0]
     abs_cost = np.abs(t.cost)
-    cost_b = t.cost[t.basis]
-    # Direction a nonbasic column may enter in: +1 up from its lower bound,
-    # -1 down from its upper, 0 when it is basic or fixed (ub == 0). Only
-    # the columns a pivot moves are rewritten.
-    sign = np.where(t.vstat == _AT_LOWER, 1.0, -1.0)
-    sign[(t.vstat == _BASIC) | ~(t.ub > 0)] = 0.0
+    sign = t.sign
     while True:
-        y = cost_b @ t.binv
+        y = t.duals()
         prod = y[t.rows] * t.vals
         d = t.cost - np.bincount(t.cols, prod, ncols)
         # Reduced costs inherit rounding noise at the scale of the dual/cost
@@ -245,16 +264,7 @@ def _iterate(t: _Tableau, max_pivots: int) -> tuple[str, int]:
             t.vstat[j] = _AT_UPPER if sigma > 0 else _AT_LOWER
             sign[j] = -sigma
         else:
-            leaving = t.basis[row]
-            t.vstat[leaving] = _AT_LOWER if kind == 0 else _AT_UPPER
-            sign[leaving] = (1.0 if kind == 0 else -1.0) if t.ub[leaving] > 0 else 0.0
-            entering_value = step if sigma > 0 else t.ub[j] - step
-            eta_update(t.binv, u, row)
-            t.basis[row] = j
-            cost_b[row] = t.cost[j]
-            t.vstat[j] = _BASIC
-            sign[j] = 0.0
-            t.xb[row] = entering_value
+            t.pivot(row, j, u, kind == 1, step if sigma > 0 else t.ub[j] - step)
         pivots += 1
         since_refactor += 1
         if step < TOL_FEAS:
@@ -293,6 +303,9 @@ def _install(t: _Tableau, start: Basis) -> bool:
     upper = [j for j in start.at_upper if 0 <= j < n and math.isfinite(t.ub[j])]
     t.vstat[upper] = _AT_UPPER
     t.vstat[t.basis] = _BASIC
+    t.cost_b = t.cost[t.basis]
+    t.sign = np.where(t.vstat == _AT_LOWER, 1.0, -1.0)
+    t.sign[(t.vstat == _BASIC) | ~(t.ub > 0)] = 0.0
     return _refactor(t)
 
 
@@ -330,9 +343,7 @@ def _dual_iterate(t: _Tableau, max_pivots: int) -> tuple[str, int]:
     repairs them.
     """
     ncols = t.cost.shape[0]
-    cost_b = t.cost[t.basis]
-    sign = np.where(t.vstat == _AT_LOWER, 1.0, -1.0)
-    sign[(t.vstat == _BASIC) | ~(t.ub > 0)] = 0.0
+    sign = t.sign
     ptol = TOL_FEAS * max(1.0, float(np.abs(t.b).max(initial=0.0)))
     pivots = 0
     since_refactor = 0
@@ -358,8 +369,7 @@ def _dual_iterate(t: _Tableau, max_pivots: int) -> tuple[str, int]:
                 since_refactor = 0
                 continue
             return ("infeasible" if _farkas_row(t, r, alpha, ptol) else "stuck"), pivots
-        y = cost_b @ t.binv
-        d = t.cost[cand] - t.row_times(y, ncols)[cand]
+        d = t.cost[cand] - t.row_times(t.duals(), ncols)[cand]
         ratio = np.maximum(sign[cand] * d, 0.0) / -toward[cand]
         tied = cand[ratio <= ratio.min() + _TIE_SLACK]
         q = int(tied[np.abs(alpha[tied]).argmax()])
@@ -368,15 +378,7 @@ def _dual_iterate(t: _Tableau, max_pivots: int) -> tuple[str, int]:
         theta = (t.xb[r] - target) / u[r]
         entering_value = (0.0 if t.vstat[q] == _AT_LOWER else t.ub[q]) + theta
         t.xb -= theta * u
-        leaving = t.basis[r]
-        t.vstat[leaving] = _AT_LOWER if below else _AT_UPPER
-        sign[leaving] = (1.0 if below else -1.0) if t.ub[leaving] > 0 else 0.0
-        eta_update(t.binv, u, r)
-        t.basis[r] = q
-        cost_b[r] = t.cost[q]
-        t.vstat[q] = _BASIC
-        sign[q] = 0.0
-        t.xb[r] = entering_value
+        t.pivot(r, q, u, not below, entering_value)
         pivots += 1
         since_refactor += 1
         if since_refactor >= REFACTOR_EVERY:
@@ -399,30 +401,31 @@ def _basis_of(t: _Tableau) -> Basis:
     return Basis(tuple(names), tuple(at_upper.tolist()))
 
 
-def _phase2(lp: LinearProgram, t: _Tableau, max_pivots: int, pivots: int) -> LpSolution:
-    """Optimize the true objective from a feasible basis and report."""
-    m = t.b.shape[0]
+def _phase2(
+    lp: LinearProgram, t: _Tableau, max_pivots: int, pivots: int
+) -> tuple[LpSolution | None, int]:
+    """Optimize the true objective from a feasible basis: (solution,
+    pivots), or (None, pivots) when it gives up at the pivot cap, on a
+    singular refactor or on a final basis outside tolerance. ``pivots``
+    counts the pivots spent before, and the result counts them in."""
     state, it2 = _iterate(t, max_pivots)
     iterations = pivots + it2
-    if state == "limit":
-        return LpSolution(LpStatus.NUMERIC_FAILURE, None, math.nan, None, iterations)
     if state == "unbounded":
-        return LpSolution(LpStatus.UNBOUNDED, None, -math.inf, None, iterations)
-
-    if not _refactor(t):
-        return LpSolution(LpStatus.NUMERIC_FAILURE, None, math.nan, None, iterations)
+        sol = LpSolution(LpStatus.UNBOUNDED, None, -math.inf, None, iterations)
+        return sol, iterations
+    if state == "limit" or not _refactor(t):
+        return None, iterations
     # Feasibility audit: a basis outside tolerance is reported, not returned.
     scale = max(1.0, float(np.abs(t.b).max(initial=0.0)))
     ub_b = t.ub[t.basis]
     if (t.xb < -10 * TOL_FEAS * scale).any() or (
         np.isfinite(ub_b) & (t.xb > ub_b + 10 * TOL_FEAS * scale)
     ).any():
-        return LpSolution(LpStatus.NUMERIC_FAILURE, None, math.nan, None, iterations)
+        return None, iterations
 
     x_std = np.where(t.vstat[: t.n_orig] == _AT_UPPER, t.ub[: t.n_orig], 0.0)
-    for i in range(m):
-        if t.basis[i] < t.n_orig:
-            x_std[t.basis[i]] = t.xb[i]
+    structural = t.basis < t.n_orig
+    x_std[t.basis[structural]] = t.xb[structural]
     # Snap basic values sitting within tolerance of a bound onto it, so
     # numerical dust never leaks into objectives or integrality checks.
     snap = TOL_FEAS * scale
@@ -432,10 +435,9 @@ def _phase2(lp: LinearProgram, t: _Tableau, max_pivots: int, pivots: int) -> LpS
     near_up = np.isfinite(ub_orig) & (np.abs(x_std - ub_orig) <= snap)
     x_std[near_up] = ub_orig[near_up]
     x = x_std + t.lo_shift
-    y = t.cost[t.basis] @ t.binv
     objective = float(np.array(lp.obj) @ x)
-    return LpSolution(LpStatus.OPTIMAL, x, objective, y, iterations,
-                      _basis_of(t))
+    return LpSolution(LpStatus.OPTIMAL, x, objective, t.duals(), iterations,
+                      _basis_of(t)), iterations
 
 
 def _crash(lp: LinearProgram) -> Basis:
@@ -488,15 +490,11 @@ def _solve_warm(
     if dual_cap is None:
         dual_cap = DUAL_PIVOTS_PER_ROW * lp.n_rows + DUAL_PIVOTS_MIN
     state, pivots = _dual_iterate(t, min(max_pivots, dual_cap))
+    if state == "feasible":
+        return _phase2(lp, t, max_pivots, pivots)
     if state == "infeasible":
-        sol = LpSolution(LpStatus.INFEASIBLE, None, math.inf, None, pivots)
-        return sol, pivots
-    if state == "stuck":
-        return None, pivots
-    sol = _phase2(lp, t, max_pivots, pivots)
-    if sol.status == LpStatus.NUMERIC_FAILURE:
-        return None, sol.iterations
-    return sol, sol.iterations
+        return LpSolution(LpStatus.INFEASIBLE, None, math.inf, None, pivots), pivots
+    return None, pivots
 
 
 def solve_lp(

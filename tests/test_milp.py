@@ -903,6 +903,105 @@ def test_stuck_crash_reports_numeric_failure(monkeypatch):
         assert got.iterations == 14
 
 
+def test_phase2_give_up_falls_back_to_the_crash_start(monkeypatch):
+    # a phase 2 that gives up hands the solve to the crash start, as a dual
+    # phase that gives up does, and every pivot of both attempts is counted
+    rng = random.Random(79)
+    iterate, dual_iterate = simplex._iterate, simplex._dual_iterate
+    phase2, dual = [], []
+
+    def limit_first(t, max_pivots):
+        phase2.append(max_pivots)
+        if len(phase2) == 1:
+            return "limit", 5
+        return iterate(t, max_pivots)
+
+    def always_limit(t, max_pivots):
+        phase2.append(max_pivots)
+        return "limit", 5
+
+    def dual_counted(t, max_pivots):
+        state, pivots = dual_iterate(t, max_pivots)
+        dual.append(pivots)
+        return state, pivots
+
+    checked = 0
+    for trial in range(40):
+        lp = _random_lp(rng, rng.randrange(3, 8), rng.randrange(2, 8),
+                        with_upper=trial % 2 == 0)
+        cold = solve_lp(lp)
+        if cold.status is not LpStatus.OPTIMAL:
+            continue
+        monkeypatch.setattr(simplex, "_dual_iterate", dual_counted)
+        monkeypatch.setattr(simplex, "_iterate", limit_first)
+        phase2.clear()
+        dual.clear()
+        got = solve_lp(lp, start=cold.basis)
+        # the second attempt is the crash start, which retraces the cold solve
+        assert len(phase2) == 2 and len(dual) == 2
+        assert got.status is LpStatus.OPTIMAL
+        assert got.iterations == dual[0] + 5 + cold.iterations
+        assert np.array_equal(got.x, cold.x)
+        monkeypatch.setattr(simplex, "_iterate", always_limit)
+        for start, attempts in ((cold.basis, 2), (None, 1)):
+            phase2.clear()
+            dual.clear()
+            got = solve_lp(lp, start=start)
+            assert len(phase2) == len(dual) == attempts
+            assert got.status is LpStatus.NUMERIC_FAILURE
+            assert got.x is None and got.basis is None
+            assert got.iterations == sum(dual) + 5 * attempts
+        monkeypatch.undo()
+        checked += 1
+    assert checked >= 20
+
+
+def _assert_signs_and_basic_costs(t: _Tableau) -> None:
+    """``t.sign`` and ``t.cost_b`` equal a fresh recomputation."""
+    sign = np.where(t.vstat == simplex._AT_LOWER, 1.0, -1.0)
+    sign[(t.vstat == simplex._BASIC) | ~(t.ub > 0)] = 0.0
+    np.testing.assert_array_equal(t.sign, sign)
+    np.testing.assert_array_equal(t.cost_b, t.cost[t.basis])
+
+
+def test_pivots_keep_entering_signs_and_basic_costs():
+    rng = random.Random(83)
+    models = [(_random_lp(rng, rng.randrange(3, 8), rng.randrange(2, 8),
+                          with_upper=k % 2 == 0), None) for k in range(40)]
+    models += [_random_sparse_lp(rng) for _ in range(60)]
+    # variables and no rows: phase 2 only flips bounds
+    flips = LinearProgram()
+    for c in (-1.0, 2.0, -3.0):
+        flips.add_variable(obj=c, hi=2.0)
+    empty_le = LinearProgram()
+    empty_le.add_variable(obj=-1.0, hi=3.0)
+    empty_le.add_row({}, "<=", 1.0)
+    empty_eq = LinearProgram()
+    empty_eq.add_variable(obj=-1.0, hi=3.0)
+    empty_eq.add_row({}, "=", 1.0)
+    models += [(flips, None), (empty_le, None), (empty_eq, None)]
+    states, tableaus = [], []
+    for lp, fixes in models:
+        t = _Tableau(lp, fixes)
+        tableaus.append(t)
+        assert simplex._install(t, simplex._crash(lp))
+        _assert_signs_and_basic_costs(t)
+        state, dual = simplex._dual_iterate(t, 10_000)
+        _assert_signs_and_basic_costs(t)
+        pivots = 0
+        if state == "feasible":
+            state, pivots = simplex._iterate(t, 10_000)
+            _assert_signs_and_basic_costs(t)
+        states.append((state, dual, pivots))
+    assert states[-3] == ("optimal", 0, 2)
+    assert tableaus[-3].vstat.tolist() == [simplex._AT_UPPER, simplex._AT_LOWER,
+                                           simplex._AT_UPPER]
+    assert states[-2][0] == "optimal"
+    assert states[-1][0] == "infeasible"
+    assert sum(dual for _, dual, _ in states) > 0
+    assert sum(pivots for _, _, pivots in states) > 0
+
+
 @pytest.mark.parametrize("n_legs,n_aircraft", [(40, 4), (60, 6), (80, 7)])
 def test_routing_solves_never_give_up(
         monkeypatch, n_legs, n_aircraft):
@@ -923,6 +1022,33 @@ def test_routing_solves_never_give_up(
     for result in (solve_routing(inst), minimize_aircraft(inst)):
         assert result.status == "optimal"
     assert outcomes and all(outcomes)
+
+
+@pytest.mark.parametrize("n_legs,n_aircraft,budget,minimized", [
+    (40, 4, ([101], 1), ([179, 5], 2)),
+    (60, 6, ([182], 1), ([485], 1)),
+])
+def test_route_workload_pivot_path(monkeypatch, n_legs, n_aircraft, budget,
+                                   minimized):
+    # the benchmark's route weeks under one BLAS thread (see conftest): the
+    # pivots of each node LP and the node counts pin the simplex's path on
+    # real routing models
+    from crewroute.routing import minimize_aircraft, solve_routing
+
+    iterations = []
+
+    def counted(lp, bound_overrides=None, max_pivots=None, start=None):
+        sol = simplex.solve_lp(lp, bound_overrides, max_pivots, start)
+        iterations.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(branch_bound, "solve_lp", counted)
+    inst = generate_instance(6, 2, n_legs, n_aircraft, 7)
+    for solve, want in ((solve_routing, budget), (minimize_aircraft, minimized)):
+        iterations.clear()
+        result = solve(inst)
+        assert result.status == "optimal"
+        assert (iterations, result.nodes) == want
 
 
 _NUMPY_MA_PROBE = """
