@@ -1,4 +1,10 @@
-"""Aircraft maintenance routing and crew pairing over a cyclic week."""
+"""Aircraft maintenance routing and crew pairing over a cyclic week.
+
+The package exports the instance model and ``generate_instance``, and
+importing it loads no numpy. The solvers are imported from their modules:
+``crewroute.routing``, ``crewroute.pairing``, ``crewroute.integrated`` and
+``crewroute.rcsp``.
+"""
 
 from .generate import generate_instance
 from .instance import (
@@ -20,27 +26,6 @@ from .instance import (
     instance_to_dict,
     load_instance,
     save_instance,
-)
-from .integrated import IntegratedResult, solve_integrated
-from .pairing import PairingAlgebra, PairingResult, solve_crew_pairing
-from .rcsp import (
-    AdditiveCapacityAlgebra,
-    RcspGraph,
-    ResourceAlgebra,
-    StateGraph,
-    brute_force_oracle,
-    build_state_graph,
-    compute_bounds,
-    enumerate_within,
-    resolve_kappa,
-    solve,
-    update_bounds,
-)
-from .routing import (
-    RoutingResult,
-    build_routing_graph,
-    minimize_aircraft,
-    solve_routing,
 )
 
 __version__ = "0.1.0"
@@ -65,25 +50,5 @@ __all__ = [
     "load_instance",
     "save_instance",
     "generate_instance",
-    "IntegratedResult",
-    "solve_integrated",
-    "PairingAlgebra",
-    "PairingResult",
-    "solve_crew_pairing",
-    "AdditiveCapacityAlgebra",
-    "RcspGraph",
-    "ResourceAlgebra",
-    "StateGraph",
-    "brute_force_oracle",
-    "build_state_graph",
-    "compute_bounds",
-    "enumerate_within",
-    "resolve_kappa",
-    "solve",
-    "update_bounds",
-    "RoutingResult",
-    "build_routing_graph",
-    "minimize_aircraft",
-    "solve_routing",
     "__version__",
 ]

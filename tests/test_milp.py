@@ -27,9 +27,9 @@ from crewroute.milp import (
 from crewroute.milp import branch_bound, simplex
 from crewroute.milp.model import ARTIFICIAL, RELATIONS, SLACK, STRUCTURAL
 from crewroute.milp.simplex import _TIE_SLACK, _Tableau, ratio_test
-from crewroute.oracles import brute_force_binary, tableau_solve_lp
 from crewroute.pairing.master import CutRow, MasterProblem
 from crewroute.pairing.network import PairingColumn
+from lp_reference import brute_force_binary, tableau_solve_lp
 
 
 def test_single_bound_row():
