@@ -22,10 +22,6 @@ from .instance import (
     instance_to_dict,
     load_instance,
 )
-from .integrated import solve_integrated
-from .pairing import solve_crew_pairing
-from .rcsp import resolve_kappa
-from .routing import minimize_aircraft, solve_routing
 
 _EXIT_BY_STATUS = {"optimal": 0, "feasible": 0, "infeasible": 2, "limit": 3}
 
@@ -40,6 +36,8 @@ def _emit(obj: dict, output: str | None) -> None:
 
 
 def _parse_kappa(value: str) -> int:
+    from .rcsp import resolve_kappa
+
     try:
         return resolve_kappa(value if value == "auto" else int(value))
     except ValueError:
@@ -138,6 +136,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_route(args) -> int:
+    from .routing import minimize_aircraft, solve_routing
+
     inst = load_instance(args.instance)
     if args.minimize:
         res = minimize_aircraft(inst, node_limit=args.limit_nodes)
@@ -149,6 +149,8 @@ def _cmd_route(args) -> int:
 
 
 def _cmd_pair(args) -> int:
+    from .pairing import solve_crew_pairing
+
     inst = load_instance(args.instance)
     res = solve_crew_pairing(
         inst, kappa=args.kappa, path_limit=args.limit_paths,
@@ -159,6 +161,8 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_integrated(args) -> int:
+    from .integrated import solve_integrated
+
     inst = load_instance(args.instance)
     res = solve_integrated(
         inst, gamma=args.gamma, iteration_limit=args.iteration_limit,

@@ -20,8 +20,9 @@ cuts: each cut is added to it (``add_cut``) as soon as routing rejects S,
 on the networks, column pool and master basis of the previous iteration,
 and pairing resumes from there instead of starting over. They share one
 ``RoutingSession`` too: the routing graph and arc-flow model are built
-once, and each forced solve only closes, for the time of the solve, the
-arcs that would enter a forced connection's head leg from another leg.
+once, and a forced connection (a, b) reaches branch and bound as root
+bound overrides of [0, 0] on every other arc into leg b, so no solve
+writes the model.
 
 The first time routing rejects a non-empty S, the loop routes once more
 with nothing forced. If the fleet cannot fly the week at all, no crew plan
@@ -157,8 +158,8 @@ def solve_integrated(
         entry = {"iteration": it, "cp_status": cp.status,
                  "cp_objective": None if math.isinf(cp.objective)
                  else cp.objective}
+        log.append(entry)
         if cp.status == "infeasible":
-            log.append(entry)
             if not session.cuts:
                 return result("infeasible", cp, None, proven=True)
             if gamma >= 1.0 and cp.provably_optimal:
@@ -170,7 +171,6 @@ def solve_integrated(
             # a diagnostic, not a proof.
             return result("limit", cp, None, proven=False, over_cut=True)
         if cp.status == "limit":
-            log.append(entry)
             return result("limit", cp, None, proven=False)
 
         s = short_connections_of(cp)
@@ -179,17 +179,14 @@ def solve_integrated(
                            session=routing)
         entry["ar_status"] = ar.status
         if ar.status == "optimal":
-            log.append(entry)
             proven = gamma >= 1.0 and cp.provably_optimal
             return result("optimal" if proven else "feasible", cp, ar, proven)
         if ar.status == "limit":
-            log.append(entry)
             return result("limit", cp, ar, proven=False)
 
         # Routing rejected S. With no short connection used at all the
         # aircraft side is infeasible on its own, proving the instance out.
         if not s:
-            log.append(entry)
             return result("infeasible", cp, ar, proven=True)
         # The first rejection checks the fleet alone: with nothing forced
         # an infeasible routing is that same proof, and no cut can help.
@@ -199,13 +196,11 @@ def solve_integrated(
             unforced = solve_routing(inst, forced=[], node_limit=node_limit,
                                      session=routing)
             if unforced.status == "infeasible":
-                log.append(entry)
                 return result("infeasible", cp, unforced, proven=True)
         if any(c.conns == s for c in session.cuts):
             raise RuntimeError("cut failed to exclude its own support set")
         cut = cut_for(s, gamma)
         session.add_cut(cut)
         entry["cut_rhs"] = cut.rhs
-        log.append(entry)
 
     return result("limit", None, None, proven=False)

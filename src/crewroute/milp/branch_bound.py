@@ -6,11 +6,13 @@ the most fractional binary (ties to the lowest index) and explores the
 bound cannot beat the incumbent proves optimality; a node budget turns the
 same information into a best bound plus gap instead of a wrong answer.
 
-Every node carries its parent's optimal basis: a child differs from its
-parent by one fixed binary, so its LP resumes from that basis with a few
-dual simplex pivots instead of a cold crash-started solve. The root's
-optimal basis is returned too, so a caller that appends rows to the model
-or changes its bounds can start its next solve from it.
+Every node carries its parent's bound fixes and optimal basis: a child
+differs from its parent by one fixed binary, so its LP resumes from that
+basis with a few dual simplex pivots instead of a cold crash-started
+solve. ``bound_overrides`` are the root's fixes: a forced routing key
+(a, b) arrives as [0, 0] on every other arc into leg b, and the model is
+never written. The root's optimal basis is returned too, so a caller that
+appends rows or overrides other bounds can start its next solve from it.
 """
 
 from __future__ import annotations
@@ -31,14 +33,16 @@ def solve_mip(
     lp: LinearProgram,
     node_limit: int = 200_000,
     start: Basis | None = None,
+    bound_overrides: dict[int, tuple[float, float]] | None = None,
 ) -> MipResult:
-    """Minimize over the binaries; ``start`` seeds the root LP's basis."""
+    """Minimize over the binaries; ``start`` seeds the root LP's basis and
+    ``bound_overrides`` holds the root's bound fixes, as in ``solve_lp``."""
     incumbent_x: np.ndarray | None = None
     incumbent_obj = math.inf
     seq = 0
     # (parent bound, FIFO tie break, bound fixes, parent basis)
     heap: list[tuple[float, int, dict, Basis | None]] = [
-        (-math.inf, seq, {}, start)
+        (-math.inf, seq, bound_overrides or {}, start)
     ]
     nodes = 0
     root_basis: Basis | None = None

@@ -17,10 +17,10 @@ fleet budget row caps that sum.
 Crew-side short connections are imposed by forcing them to be flown. Leg
 b's cover row lets exactly one arc into b carry flow, so "fly (a, b)" is
 the same constraint as "no arc into b from a leg other than a": a forced
-solve closes those arcs (upper bound 0), which gives the same integer and
-LP feasible sets as a row over (a, b)'s arcs. When the maintenance cap or
-the pruning below dropped every arc of (a, b), every arc into b is closed
-and b's cover row proves the model infeasible.
+solve closes those arcs, which gives the same integer and LP feasible sets
+as a row over (a, b)'s arcs. When the maintenance cap or the pruning below
+dropped every arc of (a, b), every arc into b is closed and b's cover row
+proves the model infeasible.
 
 Only arcs on a directed cycle of the (leg, k) graph enter the model: an arc
 is kept when its two ends lie in one strongly connected component. A
@@ -34,8 +34,9 @@ still names only the legs with no arc in or out under the maintenance cap.
 A ``RoutingSession`` builds the graph and the model once per week and
 budget. Each solve checks its forced keys against the week's connections,
 so an unknown key is a ``ValueError`` even on a week that no routing can
-fly, then closes the arcs its keys rule out, runs the MIP and reopens
-them; the model's rows and columns never change. The root LP basis of the
+fly, then passes the arcs its keys rule out to branch and bound as root
+bound overrides of [0, 0]. No solve writes the model: its bounds, rows
+and columns stay as ``build_ar_model`` made them. The root LP basis of the
 session's last unforced solve starts every later forced solve as it is,
 so the integrated loop re-solves one model instead of rebuilding it.
 Routing holds no cuts: they live in the loop's pairing session, and
@@ -321,29 +322,21 @@ class RoutingSession:
                                  routes=[], forced=forced_keys,
                                  uncoverable_legs=gaps)
 
-        # Close every arc into a forced key's head leg from another tail,
-        # keeping the bounds to reopen them.
-        lp, arcs = self.lp, self.graph.arcs
-        upper = {self.x[i]: lp.upper[self.x[i]] for a, b in forced_keys
-                 for i in self.graph.in_arcs_of_leg[b]
-                 if arcs[i].conn.from_leg != a}
-        try:
-            for j in upper:
-                lp.upper[j] = 0.0
-            mip = solve_mip(lp, node_limit=node_limit, start=self.basis)
-        finally:
-            for j, hi in upper.items():
-                lp.upper[j] = hi
+        # Close every arc into a forced key's head leg from another tail.
+        graph = self.graph
+        closed = {self.x[i]: (0.0, 0.0) for a, b in forced_keys
+                  for i in graph.in_arcs_of_leg[b]
+                  if graph.arcs[i].conn.from_leg != a}
+        mip = solve_mip(self.lp, node_limit=node_limit, start=self.basis,
+                        bound_overrides=closed)
         if not forced_keys:
             self.basis = mip.root_basis
 
-        if mip.status == MipStatus.NODE_LIMIT:
-            return RoutingResult(status="limit", n_aircraft=None, routes=[],
+        if mip.status != MipStatus.OPTIMAL:
+            status = ("limit" if mip.status == MipStatus.NODE_LIMIT
+                      else "infeasible")
+            return RoutingResult(status=status, n_aircraft=None, routes=[],
                                  forced=forced_keys, nodes=mip.nodes)
-        if mip.status == MipStatus.INFEASIBLE:
-            return RoutingResult(status="infeasible", n_aircraft=None,
-                                 routes=[], forced=forced_keys,
-                                 nodes=mip.nodes)
         routes = _extract_routes(self.graph, mip.x)
         n_air = sum(r.week_span for r in routes)
         return RoutingResult(status="optimal", n_aircraft=n_air,

@@ -383,29 +383,61 @@ def test_session_forced_solves_match_fresh_solves(looping_week):
         solve_routing(inst, budget=inst.rules.n_a + 1, session=session)
 
 
-def test_failed_forced_solve_reopens_the_arcs(monkeypatch, looping_week):
-    # a forced solve closes arcs only while its MIP runs: when the MIP
-    # raises, the model's bounds come back as they were
+def test_forced_solves_never_write_the_model(monkeypatch, looping_week):
+    # a forced solve closes arcs only in the root bound overrides it hands
+    # branch and bound, so the model stays as built when the MIP raises and
+    # when it branches, and the caller's overrides stay as passed
     from crewroute import routing
+    from crewroute.milp import solve_mip
+    from crewroute.routing import build_ar_model
 
     inst = looping_week
     shorts = sorted(c.key for c in build_connections(inst)
                     if c.kind == ConnectionKind.SHORT)
     session = RoutingSession(inst, budget=inst.rules.n_a)
     lower, upper = list(session.lp.lower), list(session.lp.upper)
-    closed = []
+    passed = []
 
     def failing(lp, **kwargs):
-        closed.append(lp.upper.count(0.0))
+        passed.append(kwargs["bound_overrides"])
         raise RuntimeError("LP numeric failure during branch and bound")
 
     monkeypatch.setattr(routing, "solve_mip", failing)
     with pytest.raises(RuntimeError, match="numeric failure"):
         session.solve(shorts[:3])
-    assert closed[0] > 0
+    graph = session.graph
+    closed = {session.x[i] for a, b in shorts[:3]
+              for i in graph.in_arcs_of_leg[b]
+              if graph.arcs[i].conn.from_leg != a}
+    assert closed and passed == [dict.fromkeys(closed, (0.0, 0.0))]
     assert session.lp.lower == lower
     assert session.lp.upper == upper
     assert session.basis is None
+
+    # seed 10's forced solves from the unforced root basis branch to a
+    # second node
+    inst = generate_instance(4, 2, 24, 3, 10, rules_overrides={"T": 2})
+    shorts = sorted(c.key for c in build_connections(inst)
+                    if c.kind == ConnectionKind.SHORT)
+    session = RoutingSession(inst, budget=inst.rules.n_a)
+    calls = []
+
+    def spied(lp, **kwargs):
+        given = kwargs["bound_overrides"]
+        calls.append((dict(given), given))
+        return solve_mip(lp, **kwargs)
+
+    monkeypatch.setattr(routing, "solve_mip", spied)
+    assert session.solve().status == "optimal"
+    res = session.solve(shorts)
+    assert res.status == "optimal" and res.nodes >= 2
+    [(_, unforced), (before, after)] = calls
+    assert unforced == {}
+    assert before and after == before
+    fresh, _ = build_ar_model(session.graph, session.budget)
+    for name in ("obj", "lower", "upper", "binary", "columns", "relations",
+                 "rhs"):
+        assert getattr(session.lp, name) == getattr(fresh, name), name
 
 
 def test_loop_decodes_only_the_columns_it_adds(monkeypatch, looping_week):

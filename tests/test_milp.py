@@ -1051,6 +1051,34 @@ def test_route_workload_pivot_path(monkeypatch, n_legs, n_aircraft, budget,
         assert (iterations, result.nodes) == want
 
 
+def test_cut_loop_routing_pivot_path(monkeypatch, looping_week):
+    # the benchmark's one forced-routing path, the gamma=1 loop on the
+    # seed-5 week, under one BLAS thread: the pivots of each routing MIP's
+    # node LPs and its node count, forced solves warm from the unforced root
+    from crewroute import routing
+    from crewroute.integrated import solve_integrated
+
+    iterations, mips = [], []
+
+    def counted(lp, bound_overrides=None, max_pivots=None, start=None):
+        sol = simplex.solve_lp(lp, bound_overrides, max_pivots, start)
+        iterations.append(sol.iterations)
+        return sol
+
+    def routed(lp, **kwargs):
+        iterations.clear()
+        res = branch_bound.solve_mip(lp, **kwargs)
+        mips.append((list(iterations), res.nodes))
+        return res
+
+    monkeypatch.setattr(branch_bound, "solve_lp", counted)
+    monkeypatch.setattr(routing, "solve_mip", routed)
+    result = solve_integrated(looping_week, gamma=1.0)
+    assert result.status == "infeasible"
+    assert mips == [([35], 1), ([55], 1), ([9], 1), ([9], 1), ([9], 1),
+                    ([9], 1)]
+
+
 _NUMPY_MA_PROBE = """
 import sys
 from crewroute.milp import Basis, LinearProgram, solve_lp
